@@ -78,11 +78,7 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 	}
 
 	segsPerAU := d.cfg.SegmentsPerAU()
-	st := &vmState{
-		host: host,
-		aus:  make([]int64, 0, aus),
-		hsns: make([]dram.HSN, 0, aus*segsPerAU),
-	}
+	st := &vmState{host: host, aus: make([]int64, 0, aus)}
 	alloc := Allocation{
 		VM: vm, Host: host, Bytes: aus * d.cfg.AUBytes, Reactivated: reactivated,
 		AUBases: make([]dram.HPA, 0, aus),
@@ -106,11 +102,10 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 		}
 		for off := int64(0); off < segsPerAU; off++ {
 			ch := int(off % int64(channels))
-			dsn := perCh[ch][off/int64(channels)]
+			dsn := dram.DSN(perCh[ch][off/int64(channels)])
 			hsn := d.hsnOf(host, auID, off)
 			d.segMap.set(hsn, dsn)
 			d.revMap[dsn] = hsn
-			st.hsns = append(st.hsns, hsn)
 		}
 	}
 	d.vms[vm] = st
@@ -165,7 +160,7 @@ func (d *DTL) activeFreeSegmentsOn(ch int) int64 {
 // capacity utilization in each channel, its free segment queue has the
 // highest priority", §4.3). Standby ranks are preferred over self-refresh
 // ranks so allocation does not needlessly wake cold ranks.
-func (d *DTL) takeSegments(ch int, out []dram.DSN, n int64) []dram.DSN {
+func (d *DTL) takeSegments(ch int, out []int32, n int64) []int32 {
 	taken := int64(0)
 	for taken < n {
 		gr := d.pickAllocRank(ch)
@@ -242,19 +237,23 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 	}
 	d.mig.completeUpTo(now)
 
-	for _, hsn := range st.hsns {
-		dsn, ok := d.segMap.get(hsn)
-		if !ok {
-			return fmt.Errorf("core: vm %d hsn %d missing from segment mapping table", vm, hsn)
+	segsPerAU := d.cfg.SegmentsPerAU()
+	for _, au := range st.aus {
+		for off := int64(0); off < segsPerAU; off++ {
+			hsn := d.hsnOf(st.host, au, off)
+			dsn, ok := d.segMap.get(hsn)
+			if !ok {
+				return fmt.Errorf("core: vm %d hsn %d missing from segment mapping table", vm, hsn)
+			}
+			d.segMap.del(hsn)
+			d.revMap[dsn] = dsnFree
+			d.smc.invalidate(hsn)
+			l := d.codec.DecodeDSN(dsn)
+			gr := d.codec.GlobalRank(l.Channel, l.Rank)
+			d.free[gr].push(int32(dsn))
+			d.allocated[gr]--
+			d.hot.onSegmentFreed(dsn)
 		}
-		d.segMap.del(hsn)
-		d.revMap[dsn] = dsnFree
-		d.smc.invalidate(hsn)
-		l := d.codec.DecodeDSN(dsn)
-		gr := d.codec.GlobalRank(l.Channel, l.Rank)
-		d.free[gr].push(dsn)
-		d.allocated[gr]--
-		d.hot.onSegmentFreed(dsn)
 	}
 	for _, au := range st.aus {
 		d.auOwner[int64(st.host)*d.cfg.TotalAUs()+au] = telemetry.SystemVM

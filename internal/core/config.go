@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dtl/internal/dram"
 	"dtl/internal/sim"
@@ -103,6 +104,11 @@ func (c Config) Validate() error {
 	if c.AUBytes <= 0 || c.AUBytes%c.Geometry.SegmentBytes != 0 {
 		return fmt.Errorf("core: AU size %d must be a positive multiple of segment size %d",
 			c.AUBytes, c.Geometry.SegmentBytes)
+	}
+	// The segment mapping table, the free segment queues and the
+	// migration table hold 32-bit segment numbers.
+	if n := c.Geometry.TotalSegments(); n > math.MaxInt32 {
+		return fmt.Errorf("core: %d segments exceed the 32-bit segment tables", n)
 	}
 	segsPerAU := c.AUBytes / c.Geometry.SegmentBytes
 	if segsPerAU%int64(c.Geometry.Channels) != 0 {

@@ -82,6 +82,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("zero hosts accepted")
 	}
+	bad = testConfig()
+	bad.Geometry.SegmentBytes = 64
+	bad.Geometry.RankBytes = 16 << 30 // 2^32 segments over 16 ranks
+	if err := bad.Validate(); err == nil {
+		t.Fatal("segment count past the 32-bit tables accepted")
+	}
 }
 
 func TestPaperConfigParameters(t *testing.T) {

@@ -51,8 +51,9 @@ type DTL struct {
 
 	// free holds the free segment queues, one per global rank (§4.2),
 	// pre-sized to a full rank; allocated counts track per-rank
-	// utilization for victim selection.
-	free      []fifo[dram.DSN]
+	// utilization for victim selection. Entries are 32-bit segment
+	// numbers (Config.Validate bounds the segment count).
+	free      []fifo[int32]
 	allocated []int64 // live segments per global rank
 
 	// vms tracks each VM's allocation so deallocation can return exactly
@@ -65,7 +66,7 @@ type DTL struct {
 	// allocScratch holds the per-channel segment staging buffers AllocateVM
 	// fills from the free queues, reused across calls so the allocation
 	// fast path stays off the heap.
-	allocScratch [][]dram.DSN
+	allocScratch [][]int32
 
 	// poweredDown is the stack of virtual rank groups currently in MPSM,
 	// most recent last (§4.3 "Virtualizing Rank Group").
@@ -124,10 +125,12 @@ func newStatCounters(reg *telemetry.Registry) statCounters {
 	}
 }
 
+// vmState is one VM's allocation. Its host segments are not stored: they
+// are hsnOf(host, au, off) for each AU in aus and each offset in the AU,
+// in that order.
 type vmState struct {
 	host HostID
-	aus  []int64    // AU ids assigned to this VM
-	hsns []dram.HSN // every host segment the VM owns
+	aus  []int64 // AU ids assigned to this VM
 }
 
 // Stats aggregates DTL-level counters.
@@ -179,11 +182,11 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 		smc:          newSMC(cfg.L1SMCEntries, cfg.L2SMCEntries, cfg.L2SMCWays),
 		segMap:       newSegTable(maxHSN),
 		revMap:       make([]dram.HSN, g.TotalSegments()),
-		free:         make([]fifo[dram.DSN], g.TotalRanks()),
+		free:         make([]fifo[int32], g.TotalRanks()),
 		allocated:    make([]int64, g.TotalRanks()),
 		vms:          make(map[VMID]*vmState),
 		auFree:       make([]fifo[int64], cfg.MaxHosts),
-		allocScratch: make([][]dram.DSN, g.Channels),
+		allocScratch: make([][]int32, g.Channels),
 		reg:          telemetry.NewRegistry(),
 	}
 	d.st = newStatCounters(d.reg)
@@ -200,12 +203,12 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 	// Populate free segment queues: every physical segment starts free.
 	// Each queue is pre-sized to a full rank, its maximum occupancy.
 	for gr := range d.free {
-		d.free[gr] = newFIFO[dram.DSN](g.SegmentsPerRank())
+		d.free[gr] = newFIFO[int32](g.SegmentsPerRank())
 	}
 	for s := dram.DSN(0); int64(s) < g.TotalSegments(); s++ {
 		l := d.codec.DecodeDSN(s)
 		gr := d.codec.GlobalRank(l.Channel, l.Rank)
-		d.free[gr].push(s)
+		d.free[gr].push(int32(s))
 	}
 	// Each host gets its own AU id space.
 	ausPerHost := cfg.TotalAUs()
@@ -217,7 +220,7 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 	}
 	perChannel := cfg.SegmentsPerAU() / int64(g.Channels)
 	for ch := range d.allocScratch {
-		d.allocScratch[ch] = make([]dram.DSN, 0, perChannel)
+		d.allocScratch[ch] = make([]int32, 0, perChannel)
 	}
 	d.hot = newHotness(d)
 	d.mig = newMigrator(d)
@@ -501,7 +504,7 @@ func (d *DTL) Access(hpa dram.HPA, write bool, now sim.Time) (AccessResult, erro
 
 	// The migration protocol may redirect or delay conflicting writes
 	// (§4.2); this also charges abort/retry bookkeeping.
-	d.mig.onForegroundAccess(dsn, write, now)
+	d.mig.onForegroundAccess(dsn, loc.Channel, write, now)
 
 	res := d.ctrl.Access(memctrl.Request{Addr: dpa, Write: write, Arrive: now + tlat})
 
@@ -590,9 +593,10 @@ func (d *DTL) Tick(now sim.Time) {
 	d.health.process(now)
 }
 
-// CheckInvariants verifies the mapping bijection, free-queue consistency and
-// power-state safety. It is used by property tests and is cheap enough to
-// run after every structural operation in tests.
+// CheckInvariants verifies the mapping bijection, free-queue consistency,
+// power-state safety, SMC coherence with the segment table, and the SMC and
+// migrator indexes. It is used by property tests and is cheap enough to run
+// after every structural operation in tests.
 func (d *DTL) CheckInvariants() error {
 	g := d.cfg.Geometry
 	// segMap and revMap must be mutually inverse.
@@ -629,7 +633,8 @@ func (d *DTL) CheckInvariants() error {
 	seen := make(map[dram.DSN]bool, len(d.revMap))
 	for gr := range d.free {
 		q := d.free[gr].items()
-		for _, dsn := range q {
+		for _, s := range q {
+			dsn := dram.DSN(s)
 			if seen[dsn] {
 				return fmt.Errorf("invariant: dsn %d in multiple free queues", dsn)
 			}
@@ -669,5 +674,19 @@ func (d *DTL) CheckInvariants() error {
 			return fmt.Errorf("invariant: live dsn %d on MPSM rank ch%d/rk%d", dsn, l.Channel, l.Rank)
 		}
 	}
-	return nil
+	// Every cached translation agrees with the segment table.
+	for _, lvl := range [][]smcEntry{d.smc.l1, d.smc.l2} {
+		for _, e := range lvl {
+			if !e.valid {
+				continue
+			}
+			if got, ok := d.segMap.get(e.hsn); !ok || got != e.dsn {
+				return fmt.Errorf("invariant: SMC caches hsn %d -> dsn %d, table has %d (mapped %v)", e.hsn, e.dsn, got, ok)
+			}
+		}
+	}
+	if err := d.smc.check(); err != nil {
+		return err
+	}
+	return d.mig.check()
 }

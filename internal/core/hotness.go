@@ -60,8 +60,10 @@ type hotness struct {
 	// planned[s] is the physical slot the content currently at slot s
 	// should occupy after migration. Identity = no move. The plan is
 	// always a product of disjoint transpositions:
-	// planned[planned[s]] == s.
-	planned []dram.DSN
+	// planned[planned[s]] == s. Entries are 32-bit segment numbers, as in
+	// the hardware table (Config.Validate bounds the segment count); read
+	// them through plan.
+	planned []int32
 
 	ch []chanState
 
@@ -83,11 +85,11 @@ func newHotness(d *DTL) *hotness {
 	h := &hotness{
 		d:         d,
 		accessBit: make([]bool, total),
-		planned:   make([]dram.DSN, total),
+		planned:   make([]int32, total),
 		ch:        make([]chanState, d.cfg.Geometry.Channels),
 	}
 	for i := range h.planned {
-		h.planned[i] = dram.DSN(i)
+		h.planned[i] = int32(i)
 	}
 	for c := range h.ch {
 		h.ch[c] = chanState{phase: PhaseIdle, victim: -1}
@@ -139,13 +141,13 @@ func (h *hotness) onAccess(dsn dram.DSN, loc dram.Loc, now sim.Time) {
 	// Mark the reference bit first so the TSP walk below cannot hand the
 	// just-accessed (hot) segment back as a cold candidate.
 	h.accessBit[dsn] = true
-	plannedLoc := h.d.codec.DecodeDSN(h.planned[dsn])
+	plannedLoc := h.d.codec.DecodeDSN(h.plan(dsn))
 	inHypotheticalVictim := plannedLoc.Channel == loc.Channel && plannedLoc.Rank == victim
 	if inHypotheticalVictim {
 		// The access would have hit the victim rank after migration:
 		// reset the idle timer (§3.4) and update the plan (Fig. 8).
 		cs.lastVictimTouch = now
-		if h.planned[dsn] == dsn {
+		if h.plan(dsn) == dsn {
 			// Case (b): segment physically in the victim rank; swap its
 			// entry with a cold target entry found by the TSP.
 			if t := h.findColdTarget(loc.Channel); t >= 0 {
@@ -157,8 +159,8 @@ func (h *hotness) onAccess(dsn dram.DSN, loc dram.Loc, now sim.Time) {
 			// (it looked cold) but is being accessed. Restore both
 			// entries, then plan a different cold segment into the
 			// victim slot.
-			partner := h.planned[dsn] // the victim-rank segment it swapped with
-			h.swapPlan(dsn, partner)  // restore identity for both
+			partner := h.plan(dsn)   // the victim-rank segment it swapped with
+			h.swapPlan(dsn, partner) // restore identity for both
 			h.stats.PlanRestores++
 			if t := h.findColdTarget(loc.Channel); t >= 0 {
 				h.swapPlan(partner, dram.DSN(t))
@@ -273,7 +275,7 @@ func (h *hotness) findColdTarget(c int) int64 {
 		if cs.tspIdx >= perRank {
 			cs.tspIdx = 0
 		}
-		if h.planned[slot] != slot {
+		if h.plan(slot) != slot {
 			continue // already part of the plan
 		}
 		if h.accessBit[slot] {
@@ -290,6 +292,9 @@ func (h *hotness) findColdTarget(c int) int64 {
 	}
 	return -1
 }
+
+// plan reports the slot the content at s should occupy after migration.
+func (h *hotness) plan(s dram.DSN) dram.DSN { return dram.DSN(h.planned[s]) }
 
 func (h *hotness) swapPlan(a, b dram.DSN) {
 	h.planned[a], h.planned[b] = h.planned[b], h.planned[a]
@@ -311,7 +316,7 @@ func (h *hotness) executeMigration(c int, now sim.Time) {
 	// already swapped.
 	for idx := int64(0); idx < g.SegmentsPerRank(); idx++ {
 		v := h.d.codec.EncodeDSN(dram.Loc{Rank: victim, Channel: c, Index: idx})
-		if h.planned[v] == v && h.accessBit[v] && h.d.revMap[v] != dsnFree {
+		if h.plan(v) == v && h.accessBit[v] && h.d.revMap[v] != dsnFree {
 			if t := h.findColdTarget(c); t >= 0 {
 				h.swapPlan(v, dram.DSN(t))
 				h.stats.PlanSwaps++
@@ -322,7 +327,7 @@ func (h *hotness) executeMigration(c int, now sim.Time) {
 	// Walk the victim rank; each non-identity entry is one transposition.
 	for idx := int64(0); idx < g.SegmentsPerRank(); idx++ {
 		v := h.d.codec.EncodeDSN(dram.Loc{Rank: victim, Channel: c, Index: idx})
-		p := h.planned[v]
+		p := h.plan(v)
 		if p == v {
 			continue
 		}
@@ -371,7 +376,7 @@ func (h *hotness) applySwap(a, b dram.DSN, now sim.Time) {
 		d.revMap[a] = dsnFree
 		d.smc.invalidate(ha)
 		removeFromFreeQueue(d, grb, b)
-		d.free[gra].push(a)
+		d.free[gra].push(int32(a))
 		d.allocated[grb]++
 		d.allocated[gra]--
 		d.mig.enqueueCopy(a, b, now, "hotness-move")
@@ -382,7 +387,7 @@ func (h *hotness) applySwap(a, b dram.DSN, now sim.Time) {
 		d.revMap[b] = dsnFree
 		d.smc.invalidate(hb)
 		removeFromFreeQueue(d, gra, a)
-		d.free[grb].push(b)
+		d.free[grb].push(int32(b))
 		d.allocated[gra]++
 		d.allocated[grb]--
 		d.mig.enqueueCopy(b, a, now, "hotness-move")
@@ -391,7 +396,7 @@ func (h *hotness) applySwap(a, b dram.DSN, now sim.Time) {
 }
 
 func removeFromFreeQueue(d *DTL, gr int, dsn dram.DSN) {
-	if !d.free[gr].remove(dsn) {
+	if !d.free[gr].remove(int32(dsn)) {
 		panic(fmt.Sprintf("core: dsn %d not found in free queue of rank %d", dsn, gr))
 	}
 }
@@ -403,7 +408,7 @@ func (h *hotness) resetChannelPlan(c int) {
 	for rk := 0; rk < g.RanksPerChannel; rk++ {
 		for idx := int64(0); idx < g.SegmentsPerRank(); idx++ {
 			s := h.d.codec.EncodeDSN(dram.Loc{Rank: rk, Channel: c, Index: idx})
-			h.planned[s] = s
+			h.planned[s] = int32(s)
 			h.accessBit[s] = false
 		}
 	}
@@ -421,7 +426,7 @@ func (h *hotness) onSelfRefreshWake(id dram.RankID, now sim.Time) {
 // onSegmentFreed clears plan state when a segment is deallocated.
 func (h *hotness) onSegmentFreed(dsn dram.DSN) {
 	h.accessBit[dsn] = false
-	if p := h.planned[dsn]; p != dsn {
+	if p := h.plan(dsn); p != dsn {
 		h.swapPlan(dsn, p) // restore both entries to identity
 	}
 }
@@ -469,7 +474,7 @@ func (h *Hotness) VictimRank(channel int) int { return h.ch[channel].victim }
 func (h *Hotness) Stats() HotStats { return h.stats }
 
 // PlannedSlot reports where the content at physical slot dsn would move.
-func (h *Hotness) PlannedSlot(dsn dram.DSN) dram.DSN { return h.planned[dsn] }
+func (h *Hotness) PlannedSlot(dsn dram.DSN) dram.DSN { return (*hotness)(h).plan(dsn) }
 
 // AccessBit reports the CLOCK reference bit of a physical segment.
 func (h *Hotness) AccessBit(dsn dram.DSN) bool { return h.accessBit[dsn] }

@@ -341,8 +341,8 @@ func TestPlanIsAlwaysTranspositionProduct(t *testing.T) {
 	driveAccesses(t, d, a[:4], 3000, 0, 300)
 	h := (*hotness)(d.Hotness())
 	for s, p := range h.planned {
-		if h.planned[p] != dram.DSN(s) {
-			t.Fatalf("planned[planned[%d]] = %d, want %d", s, h.planned[p], s)
+		if h.plan(dram.DSN(p)) != dram.DSN(s) {
+			t.Fatalf("planned[planned[%d]] = %d, want %d", s, h.plan(dram.DSN(p)), s)
 		}
 	}
 }
@@ -359,7 +359,7 @@ func TestHotnessSurvivesDeallocation(t *testing.T) {
 	// involution property must hold and invariants too.
 	h := (*hotness)(d.Hotness())
 	for s, p := range h.planned {
-		if h.planned[p] != dram.DSN(s) {
+		if h.plan(dram.DSN(p)) != dram.DSN(s) {
 			t.Fatalf("broken transposition after dealloc at %d", s)
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"dtl/internal/dram"
 	"dtl/internal/sim"
 	"dtl/internal/telemetry"
@@ -60,8 +63,21 @@ type MigStats struct {
 // mappings); the migrator owns the timing windows, the conflict protocol
 // and the energy/latency accounting.
 type migrator struct {
-	d         *DTL
-	windows   [][]*inflight // per channel, chronological
+	d *DTL
+	// windows holds each channel's in-flight copies in enqueue order.
+	// Starts are serialized, but ends are not sorted: an abort-restart or a
+	// tail requeue pushes one window's end past windows queued after it.
+	windows [][]*inflight
+	// minEnd is a per-channel lower bound on the earliest window end
+	// (math.MaxInt64 when the channel is idle): completeUpTo skips a channel
+	// while now < minEnd. Exact because a window's end only ever grows.
+	minEnd []sim.Time
+	// refs counts, per DSN, the in-flight windows naming it as src plus
+	// those naming it as dst, so a write to a DSN no copy touches skips the
+	// conflict scan. One byte per segment; counts past 255 spill into
+	// overflow, which stays nil unless that happens.
+	refs      []uint8
+	overflow  map[dram.DSN]int
 	busyUntil []sim.Time
 	busyNs    []sim.Time // accumulated migration bus time per channel
 	stats     MigStats
@@ -74,13 +90,56 @@ type migrator struct {
 
 func newMigrator(d *DTL) *migrator {
 	ch := d.cfg.Geometry.Channels
-	return &migrator{
+	m := &migrator{
 		d:         d,
 		windows:   make([][]*inflight, ch),
+		minEnd:    make([]sim.Time, ch),
+		refs:      make([]uint8, d.cfg.Geometry.TotalSegments()),
 		busyUntil: make([]sim.Time, ch),
 		busyNs:    make([]sim.Time, ch),
 		latency:   d.reg.Timer("core.migration.latency_ns", telemetry.DefaultTimerBoundsNs()),
 	}
+	for c := range m.minEnd {
+		m.minEnd[c] = math.MaxInt64
+	}
+	return m
+}
+
+// ref records one more in-flight window naming dsn.
+func (m *migrator) ref(dsn dram.DSN) {
+	if m.refs[dsn] < math.MaxUint8 {
+		m.refs[dsn]++
+		return
+	}
+	if m.overflow == nil {
+		m.overflow = make(map[dram.DSN]int)
+	}
+	m.overflow[dsn]++
+}
+
+// unref drops one in-flight window naming dsn.
+func (m *migrator) unref(dsn dram.DSN) {
+	if m.refs[dsn] == math.MaxUint8 {
+		if n := m.overflow[dsn]; n > 0 {
+			if n == 1 {
+				delete(m.overflow, dsn)
+			} else {
+				m.overflow[dsn] = n - 1
+			}
+			return
+		}
+	}
+	m.refs[dsn]--
+}
+
+// refCount reports how many in-flight windows name dsn (src and dst roles
+// counted separately).
+func (m *migrator) refCount(dsn dram.DSN) int {
+	n := int(m.refs[dsn])
+	if n == math.MaxUint8 {
+		n += m.overflow[dsn]
+	}
+	return n
 }
 
 // enqueueCopy schedules the copy of one segment from src to dst (same
@@ -104,6 +163,11 @@ func (m *migrator) enqueueCopy(src, dst dram.DSN, now sim.Time, reason string) {
 	}
 	*w = inflight{src: src, dst: dst, start: start, end: start + dur, dur: dur}
 	m.windows[ch] = append(m.windows[ch], w)
+	if w.end < m.minEnd[ch] {
+		m.minEnd[ch] = w.end
+	}
+	m.ref(src)
+	m.ref(dst)
 	m.busyUntil[ch] = w.end
 	m.busyNs[ch] += dur
 	m.stats.Enqueued++
@@ -151,20 +215,33 @@ func (m *migrator) enqueueSwap(a, b dram.DSN, now sim.Time, reason string) {
 // against its destination rank: a copy that completed onto a rank that
 // failed mid-flight is re-routed to a fresh destination (bounded by
 // MigrationRetryLimit), so data never strands on degrading media.
+//
+// A channel is scanned only once now reaches its minEnd bound; the scan
+// then visits every window, because finished windows need not form a
+// prefix of the slice, and recomputes the bound from the windows it keeps.
 func (m *migrator) completeUpTo(now sim.Time) {
 	type reroute struct {
 		dst      dram.DSN
 		vretries int
 	}
 	for ch := range m.windows {
+		if now < m.minEnd[ch] {
+			continue
+		}
 		ws := m.windows[ch]
 		var failed []reroute
 		keep := ws[:0]
+		minEnd := sim.Time(math.MaxInt64)
 		for _, w := range ws {
 			if w.end > now {
 				keep = append(keep, w)
+				if w.end < minEnd {
+					minEnd = w.end
+				}
 				continue
 			}
+			m.unref(w.src)
+			m.unref(w.dst)
 			m.stats.Completed++
 			loc := m.d.codec.DecodeDSN(w.dst)
 			if m.d.dev.FailedGlobal(m.d.codec.GlobalRank(loc.Channel, loc.Rank)) {
@@ -178,9 +255,11 @@ func (m *migrator) completeUpTo(now sim.Time) {
 			m.pool = append(m.pool, w)
 		}
 		m.windows[ch] = keep
+		m.minEnd[ch] = minEnd
 		// Re-routes are applied after the compaction above: moveSegment
-		// enqueues a fresh copy, which appends to m.windows[ch] — doing
-		// that mid-compaction would alias the slice being rewritten.
+		// enqueues a fresh copy, which appends to m.windows[ch] and lowers
+		// minEnd — doing that mid-compaction would alias the slice being
+		// rewritten.
 		for _, r := range failed {
 			if m.d.revMap[r.dst] == dsnFree {
 				continue // already moved off or freed; nothing to save
@@ -205,6 +284,32 @@ func (m *migrator) completeUpTo(now sim.Time) {
 	}
 }
 
+// check verifies the migrator's indexes: minEnd bounds every window end on
+// its channel, and refs counts exactly the windows naming each DSN.
+func (m *migrator) check() error {
+	want := make(map[dram.DSN]int)
+	for ch, ws := range m.windows {
+		for _, w := range ws {
+			if w.end < m.minEnd[ch] {
+				return fmt.Errorf("invariant: channel %d window ends at %d before minEnd %d", ch, w.end, m.minEnd[ch])
+			}
+			want[w.src]++
+			want[w.dst]++
+		}
+	}
+	for dsn := range m.refs {
+		if got := m.refCount(dram.DSN(dsn)); got != want[dram.DSN(dsn)] {
+			return fmt.Errorf("invariant: dsn %d has ref count %d, %d windows name it", dsn, got, want[dram.DSN(dsn)])
+		}
+	}
+	for dsn, n := range m.overflow {
+		if n <= 0 || m.refs[dsn] != math.MaxUint8 {
+			return fmt.Errorf("invariant: dsn %d overflow %d with base count %d", dsn, n, m.refs[dsn])
+		}
+	}
+	return nil
+}
+
 // onForegroundAccess applies the §4.2 write protocol when a foreground
 // access lands on a segment with an in-flight migration:
 //
@@ -216,13 +321,16 @@ func (m *migrator) completeUpTo(now sim.Time) {
 //   - a write to an already-copied line aborts the migration, which
 //     restarts; after MigrationRetryLimit aborts the request is moved to
 //     the tail of the channel's migration queue.
-func (m *migrator) onForegroundAccess(dsn dram.DSN, write bool, now sim.Time) {
+//
+// ch is dsn's channel, already decoded by the caller. A write to a DSN that
+// no in-flight window names returns before the scan; otherwise the scan
+// visits the channel's windows in enqueue order, so aborts and requeues
+// happen in the same order as a full scan.
+func (m *migrator) onForegroundAccess(dsn dram.DSN, ch int, write bool, now sim.Time) {
 	m.completeUpTo(now)
-	if !write {
+	if !write || m.refs[dsn] == 0 {
 		return
 	}
-	loc := m.d.codec.DecodeDSN(dsn)
-	ch := loc.Channel
 	for _, w := range m.windows[ch] {
 		if w.src != dsn && w.dst != dsn {
 			continue

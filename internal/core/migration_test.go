@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"dtl/internal/dram"
@@ -164,5 +165,107 @@ func TestProgressAt(t *testing.T) {
 	}
 	if w.progressAt(250) != 1 {
 		t.Error("progress after end")
+	}
+}
+
+// TestCompleteUpToRetiresOutOfOrderWindows forces a tail requeue so that a
+// window with the channel's latest end sits ahead of windows that finish
+// before it, then checks that completeUpTo retires exactly the windows with
+// end <= now, against a brute-force count, at every window end.
+func TestCompleteUpToRetiresOutOfOrderWindows(t *testing.T) {
+	d, _, _ := migSetup(t)
+	m := d.mig
+	ch := -1
+	for c, ws := range m.windows {
+		if len(ws) >= 2 {
+			ch = c
+			break
+		}
+	}
+	if ch < 0 {
+		t.Fatal("setup: no channel with two queued windows")
+	}
+	w := m.windows[ch][0]
+	w.retries = d.cfg.MigrationRetryLimit
+	for now := w.start + 1; m.stats.Requeues == 0; now += 7 {
+		if now >= w.start+sim.Time(float64(w.dur)*copyFraction) {
+			t.Fatal("no write landed on an already-copied line")
+		}
+		m.onForegroundAccess(w.src, ch, true, now)
+	}
+	if w.end != m.busyUntil[ch] || m.windows[ch][0] != w {
+		t.Fatal("requeued window should keep its slot and take the channel's latest end")
+	}
+	if next := m.windows[ch][1]; next.end >= w.end {
+		t.Fatalf("windows still ordered by end: %d then %d", w.end, next.end)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	var ends []sim.Time
+	for _, ws := range m.windows {
+		for _, w := range ws {
+			ends = append(ends, w.end-1, w.end)
+		}
+	}
+	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	for _, now := range ends {
+		want, left := 0, 0
+		for _, ws := range m.windows {
+			for _, w := range ws {
+				if w.end <= now {
+					want++
+				} else {
+					left++
+				}
+			}
+		}
+		before := m.stats.Completed
+		m.completeUpTo(now)
+		if got := int(m.stats.Completed - before); got != want {
+			t.Fatalf("completeUpTo(%d) retired %d windows, want %d", now, got, want)
+		}
+		if got := (*Migrator)(m).Outstanding(); got != left {
+			t.Fatalf("completeUpTo(%d) left %d windows, want %d", now, got, left)
+		}
+		for _, ws := range m.windows {
+			for _, w := range ws {
+				if w.end <= now {
+					t.Fatalf("completeUpTo(%d) kept a window ending at %d", now, w.end)
+				}
+			}
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if (*Migrator)(m).Outstanding() != 0 {
+		t.Fatal("windows left after the last end")
+	}
+}
+
+// TestRefCountOverflow queues more copies naming one DSN than a byte can
+// count: the spill map must keep the count exact in both directions.
+func TestRefCountOverflow(t *testing.T) {
+	d := newTestDTL(t)
+	m := d.mig
+	const n = 300
+	src, dst := dram.DSN(0), dram.DSN(1)
+	for i := 0; i < n; i++ {
+		m.enqueueCopy(src, dst, 0, "test")
+	}
+	if got := m.refCount(src); got != n {
+		t.Fatalf("ref count = %d, want %d", got, n)
+	}
+	if err := m.check(); err != nil {
+		t.Fatal(err)
+	}
+	m.completeUpTo(m.busyUntil[d.codec.DecodeDSN(src).Channel])
+	if m.refCount(src) != 0 || m.refCount(dst) != 0 || len(m.overflow) != 0 {
+		t.Fatalf("counts after retiring all: %d, %d, overflow %v", m.refCount(src), m.refCount(dst), m.overflow)
+	}
+	if err := m.check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -204,7 +204,7 @@ func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
 	if best < 0 {
 		return 0, false
 	}
-	dsn := d.free[best].popFront()
+	dsn := dram.DSN(d.free[best].popFront())
 	d.allocated[best]++
 	return dsn, true
 }
@@ -227,7 +227,7 @@ func (d *DTL) moveSegment(src, dst dram.DSN, now sim.Time, reason string) {
 
 	srcLoc := d.codec.DecodeDSN(src)
 	srcGR := d.codec.GlobalRank(srcLoc.Channel, srcLoc.Rank)
-	d.free[srcGR].push(src)
+	d.free[srcGR].push(int32(src))
 	d.allocated[srcGR]--
 
 	d.hot.onSegmentMoved(src, dst)

@@ -5,10 +5,10 @@ import (
 )
 
 // segUnmapped marks an HSN with no DSN mapping in the dense segment table.
-const segUnmapped dram.DSN = -1
+const segUnmapped int32 = -1
 
 // segTablePageBits sizes the dense table's pages: 2^12 = 4096 entries
-// (32 KiB of DSNs) per page.
+// (16 KiB of 32-bit DSNs) per page.
 const segTablePageBits = 12
 
 // segTable is the DRAM-resident segment mapping table (HSN → DSN, Fig. 4)
@@ -22,16 +22,18 @@ const segTablePageBits = 12
 // The HSN space is MaxHosts × TotalAUs × SegmentsPerAU entries; pages are
 // allocated lazily on first touch so a device with few live hosts pays only
 // for the address-space slices it actually uses. A page is 4096 entries,
-// mirroring revMap's per-segment density.
+// mirroring revMap's per-segment density. Entries are 32-bit segment
+// numbers, like the hardware table's log2(total segments)-bit pointers
+// (Config.Validate bounds the segment count).
 type segTable struct {
-	pages [][]dram.DSN
+	pages [][]int32
 	live  int // mapped entries, kept so len() stays O(1)
 }
 
 // newSegTable builds a table covering HSNs in [0, maxHSN).
 func newSegTable(maxHSN int64) *segTable {
 	nPages := (maxHSN + (1 << segTablePageBits) - 1) >> segTablePageBits
-	return &segTable{pages: make([][]dram.DSN, nPages)}
+	return &segTable{pages: make([][]int32, nPages)}
 }
 
 // get returns the mapping for hsn, with ok=false when unmapped.
@@ -48,7 +50,7 @@ func (t *segTable) get(hsn dram.HSN) (dram.DSN, bool) {
 	if v == segUnmapped {
 		return 0, false
 	}
-	return v, true
+	return dram.DSN(v), true
 }
 
 // set stores hsn → dsn, materializing the page on first touch.
@@ -56,7 +58,7 @@ func (t *segTable) set(hsn dram.HSN, dsn dram.DSN) {
 	pi := uint64(hsn) >> segTablePageBits
 	p := t.pages[pi]
 	if p == nil {
-		p = make([]dram.DSN, 1<<segTablePageBits)
+		p = make([]int32, 1<<segTablePageBits)
 		for i := range p {
 			p[i] = segUnmapped
 		}
@@ -66,7 +68,7 @@ func (t *segTable) set(hsn dram.HSN, dsn dram.DSN) {
 	if *slot == segUnmapped {
 		t.live++
 	}
-	*slot = dsn
+	*slot = int32(dsn)
 }
 
 // del removes the mapping for hsn; missing entries are a no-op.
@@ -96,7 +98,7 @@ func (t *segTable) forEach(fn func(hsn dram.HSN, dsn dram.DSN)) {
 		base := dram.HSN(pi << segTablePageBits)
 		for i, v := range p {
 			if v != segUnmapped {
-				fn(base+dram.HSN(i), v)
+				fn(base+dram.HSN(i), dram.DSN(v))
 			}
 		}
 	}

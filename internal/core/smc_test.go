@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"dtl/internal/dram"
@@ -184,4 +187,198 @@ func TestAMATFromConfig(t *testing.T) {
 	if m.Penalty != 2*cfg.SRAMTableHit+cfg.DRAMTableMiss {
 		t.Fatalf("penalty = %v", m.Penalty)
 	}
+}
+
+// refSMC is the linear-scan segment mapping cache the indexed smc replaced,
+// kept as a reference model: every L1 operation scans all slots.
+type refSMC struct {
+	l1     []smcEntry
+	l2     []smcEntry
+	l2Sets int
+	l2Ways int
+	stamp  uint64
+
+	l1Hits, l1Misses int64
+	l2Hits, l2Misses int64
+}
+
+func newRefSMC(l1Entries, l2Entries, l2Ways int) *refSMC {
+	return &refSMC{
+		l1:     make([]smcEntry, l1Entries),
+		l2:     make([]smcEntry, l2Entries),
+		l2Sets: l2Entries / l2Ways,
+		l2Ways: l2Ways,
+	}
+}
+
+func (c *refSMC) lookup(hsn dram.HSN) (dram.DSN, int) {
+	c.stamp++
+	for i := range c.l1 {
+		e := &c.l1[i]
+		if e.valid && e.hsn == hsn {
+			e.lru = c.stamp
+			c.l1Hits++
+			return e.dsn, 1
+		}
+	}
+	c.l1Misses++
+	base := int(int64(hsn)%int64(c.l2Sets)) * c.l2Ways
+	for i := base; i < base+c.l2Ways; i++ {
+		e := &c.l2[i]
+		if e.valid && e.hsn == hsn {
+			e.lru = c.stamp
+			c.l2Hits++
+			c.installL1(hsn, e.dsn)
+			return e.dsn, 2
+		}
+	}
+	c.l2Misses++
+	return 0, 0
+}
+
+func (c *refSMC) install(hsn dram.HSN, dsn dram.DSN) {
+	c.stamp++
+	c.installL1(hsn, dsn)
+	base := int(int64(hsn)%int64(c.l2Sets)) * c.l2Ways
+	victim := base
+	for i := base; i < base+c.l2Ways; i++ {
+		if !c.l2[i].valid {
+			victim = i
+			break
+		}
+		if c.l2[i].lru < c.l2[victim].lru {
+			victim = i
+		}
+	}
+	c.l2[victim] = smcEntry{hsn: hsn, dsn: dsn, valid: true, lru: c.stamp}
+}
+
+func (c *refSMC) installL1(hsn dram.HSN, dsn dram.DSN) {
+	victim := 0
+	for i := range c.l1 {
+		if !c.l1[i].valid {
+			victim = i
+			break
+		}
+		if c.l1[i].lru < c.l1[victim].lru {
+			victim = i
+		}
+	}
+	c.l1[victim] = smcEntry{hsn: hsn, dsn: dsn, valid: true, lru: c.stamp}
+}
+
+func (c *refSMC) invalidate(hsn dram.HSN) {
+	for i := range c.l1 {
+		if c.l1[i].valid && c.l1[i].hsn == hsn {
+			c.l1[i].valid = false
+		}
+	}
+	base := int(int64(hsn)%int64(c.l2Sets)) * c.l2Ways
+	for i := base; i < base+c.l2Ways; i++ {
+		if c.l2[i].valid && c.l2[i].hsn == hsn {
+			c.l2[i].valid = false
+		}
+	}
+}
+
+func (c *refSMC) cached(hsn dram.HSN) bool {
+	for _, lvl := range [][]smcEntry{c.l1, c.l2} {
+		for _, e := range lvl {
+			if e.valid && e.hsn == hsn {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSMCMatchesLinearScanReference drives the indexed smc and the
+// linear-scan reference with the same seeded operation streams (accesses
+// that fill on a miss, bare lookups that promote L2 hits, invalidations of
+// cached and uncached HSNs) and compares results, counters, every slot of
+// both levels and the L1 recency order after each operation.
+func TestSMCMatchesLinearScanReference(t *testing.T) {
+	for _, sz := range []struct{ l1, l2, ways, pool int }{
+		{1, 4, 2, 12},
+		{3, 16, 4, 40},
+		{8, 64, 4, 120},
+		{64, 1024, 4, 1500},
+		{70, 256, 8, 600}, // L1 wider than one free-bitmap word
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, want := newSMC(sz.l1, sz.l2, sz.ways), newRefSMC(sz.l1, sz.l2, sz.ways)
+			// Sparse HSNs spread over a wide range, so index probe runs
+			// collide and wrap.
+			pool := make([]dram.HSN, sz.pool)
+			for i := range pool {
+				pool[i] = dram.HSN(rng.Int63n(1 << 40))
+			}
+			for op := 0; op < 5000; op++ {
+				hsn := pool[rng.Intn(len(pool))]
+				switch r := rng.Intn(10); {
+				case r < 6: // access: lookup, fill on a miss
+					gd, gl := got.lookup(hsn)
+					wd, wl := want.lookup(hsn)
+					if gd != wd || gl != wl {
+						t.Fatalf("%+v seed %d op %d: lookup(%d) = (%d, %d), reference (%d, %d)", sz, seed, op, hsn, gd, gl, wd, wl)
+					}
+					if wl == 0 {
+						dsn := dram.DSN(rng.Int63n(1 << 20))
+						got.install(hsn, dsn)
+						want.install(hsn, dsn)
+					}
+				case r < 8: // bare lookup
+					gd, gl := got.lookup(hsn)
+					wd, wl := want.lookup(hsn)
+					if gd != wd || gl != wl {
+						t.Fatalf("%+v seed %d op %d: lookup(%d) = (%d, %d), reference (%d, %d)", sz, seed, op, hsn, gd, gl, wd, wl)
+					}
+				default:
+					if rng.Intn(2) == 0 && !want.cached(hsn) {
+						hsn = pool[0] + dram.HSN(1<<41) // never cached
+					}
+					got.invalidate(hsn)
+					want.invalidate(hsn)
+				}
+				if err := sameSMC(got, want); err != nil {
+					t.Fatalf("%+v seed %d op %d: %v", sz, seed, op, err)
+				}
+			}
+		}
+	}
+}
+
+// sameSMC compares the indexed smc against the reference: counters, L1
+// slots, L1 recency order (reference stamps descending), and L2 slots.
+func sameSMC(got *smc, want *refSMC) error {
+	if got.stamp != want.stamp || got.l1Hits != want.l1Hits || got.l1Misses != want.l1Misses ||
+		got.l2Hits != want.l2Hits || got.l2Misses != want.l2Misses {
+		return fmt.Errorf("counters %+v stamp %d, reference %+v stamp %d",
+			got.stats(), got.stamp, SMCStats{want.l1Hits, want.l1Misses, want.l2Hits, want.l2Misses}, want.stamp)
+	}
+	var order []int
+	for i, e := range want.l1 {
+		g := got.l1[i]
+		if g.hsn != e.hsn || g.dsn != e.dsn || g.valid != e.valid {
+			return fmt.Errorf("L1 slot %d = %+v, reference %+v", i, g, e)
+		}
+		if e.valid {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return want.l1[order[i]].lru > want.l1[order[j]].lru })
+	s := got.l1Head
+	for _, i := range order {
+		if s != int32(i) {
+			return fmt.Errorf("L1 recency list has slot %d where the reference has %d", s, i)
+		}
+		s = got.l1Link[s].next
+	}
+	for i, e := range want.l2 {
+		if got.l2[i] != e {
+			return fmt.Errorf("L2 slot %d = %+v, reference %+v", i, got.l2[i], e)
+		}
+	}
+	return got.check()
 }

@@ -289,7 +289,7 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 			continue
 		}
 		if d.revMap[s] == dsnFree {
-			d.free[gr].push(s)
+			d.free[gr].push(int32(s))
 		} else {
 			d.allocated[gr]++
 		}
@@ -321,7 +321,6 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 				if _, ok := d.segMap.get(hsn); !ok {
 					return nil, fmt.Errorf("core: snapshot vm %d missing mapping for hsn %d", id, hsn)
 				}
-				st.hsns = append(st.hsns, hsn)
 			}
 		}
 		d.vms[VMID(id)] = st
