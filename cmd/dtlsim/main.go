@@ -38,11 +38,8 @@
 // -parallel N runs the selected experiments across N workers; reports print
 // in the same order and with the same bytes as a serial run (when several
 // experiments run in parallel the shared -trace/-metrics files are disabled,
-// since they would interleave). -shards N additionally parallelizes *inside*
-// an experiment: controller replays split by channel across N per-shard
-// event heaps (sim.ShardedEngine) that meet at sampling barriers, with
-// output byte-identical to a serial run at every shard count. Both flags
-// reject negative or explicit-zero values and are capped at GOMAXPROCS.
+// since they would interleave). It rejects negative or explicit-zero values
+// and is capped at GOMAXPROCS.
 // -cpuprofile/-memprofile write pprof profiles of the run for
 // `go tool pprof`.
 package main
@@ -66,26 +63,6 @@ import (
 	"dtl/internal/telemetry"
 )
 
-// boundedWorkers validates a -parallel/-shards value, rejecting negatives
-// and explicit zeros (exit 2) and capping at GOMAXPROCS with a warning.
-func boundedWorkers(name string, v int) int {
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			explicit = true
-		}
-	})
-	n, warn, err := cliflag.BoundedWorkers(name, v, explicit)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtlsim:", err)
-		os.Exit(2)
-	}
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, "dtlsim:", warn)
-	}
-	return n
-}
-
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment id (fig1..fig15, table2..table6, amat) or 'all'")
@@ -106,14 +83,24 @@ func main() {
 		watch    = flag.Bool("watch", false, "live dashboard on stderr (power-state strip, counters, ETA)")
 
 		parallel   = flag.Int("parallel", 1, "run experiments across N workers (reports stay in serial order)")
-		shards     = flag.Int("shards", 1, "shard controller replays by channel across N event heaps (output stays byte-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit")
 	)
 	flag.Parse()
+	// An explicit zero count is a typo and exits 2; an unset one means
+	// the default.
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	*parallel = boundedWorkers("parallel", *parallel)
-	*shards = boundedWorkers("shards", *shards)
+	n, warn, err := cliflag.BoundedWorkers("parallel", *parallel, explicit["parallel"])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dtlsim:", err)
+		os.Exit(2)
+	}
+	if warn != "" {
+		fmt.Fprintln(os.Stderr, "dtlsim:", warn)
+	}
+	*parallel = n
 
 	samplePeriod, err := time.ParseDuration(*sample)
 	if err != nil || samplePeriod < 0 {
@@ -151,13 +138,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dtlsim:", err)
 		os.Exit(2)
 	}
-	rackExplicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "rack" {
-			rackExplicit = true
-		}
-	})
-	rackCount, err := cliflag.CheckCount("rack", *rackN, rackExplicit, rack.MaxExpanders)
+	rackCount, err := cliflag.CheckCount("rack", *rackN, explicit["rack"], rack.MaxExpanders)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dtlsim:", err)
 		os.Exit(2)
@@ -173,7 +154,6 @@ func main() {
 		SamplePeriod: sim.Time(samplePeriod.Nanoseconds()),
 		FaultSpec:    *faults,
 		Parallel:     *parallel,
-		Shards:       *shards,
 		Policy:       pol,
 		Rack:         rackCount,
 		Fabric:       *fabric,

@@ -541,3 +541,40 @@ func TestRecoveryQueueOverflow(t *testing.T) {
 		}
 	}
 }
+
+// A journal written while JobSpec still carried a replay shard count must
+// recover: recovery decodes records with plain json.Unmarshal, so the
+// retired "shards" field is ignored, and the job keeps the digest it was
+// journaled under (the field never entered the digest).
+func TestRecoveryIgnoresRetiredSpecField(t *testing.T) {
+	dir := t.TempDir()
+	const digest = "11b39a3a7e0718d47ad87c2df7be7965a8100d25f215e87115f950fd109c984d"
+	rec := `{"type":"submitted","id":"j000001","time":"2026-10-17T06:21:01.159983173Z",` +
+		`"spec":{"experiment":"fig2","seed":1,"quick":true,"trace_format":"jsonl","shards":4},` +
+		`"digest":"` + digest + `"}`
+	if err := journal.Rewrite(filepath.Join(dir, "journal.jsonl"), [][]byte{[]byte(rec)}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Workers: 1, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Recovery(); got.Reenqueued != 1 || got.CorruptRecords != 0 {
+		t.Fatalf("recovery = %+v, want 1 re-enqueued and no corrupt records", got)
+	}
+	fin := waitTerminal(t, srv, "j000001")
+	if fin.State != serve.StateDone {
+		t.Fatalf("recovered job: %s (%s)", fin.State, fin.Error)
+	}
+	if fin.SpecDigest != digest {
+		t.Fatalf("recovered digest %s, want %s", fin.SpecDigest, digest)
+	}
+	// The same spec submitted today has that digest too, so it is a cache hit.
+	st, err := srv.Submit(serve.JobSpec{Experiment: "fig2", Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "j000001" {
+		t.Fatalf("resubmission got job %s, want a cache hit on j000001", st.ID)
+	}
+}

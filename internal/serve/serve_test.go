@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -102,88 +103,33 @@ func TestSubmitRunFetchArtifacts(t *testing.T) {
 
 func TestRejectsUnknownExperimentAndPolicyKey(t *testing.T) {
 	_, c := newServer(t, serve.Config{Workers: 0})
-	ctx := ctxT(t)
 
 	cases := []struct {
-		spec serve.JobSpec
+		body string
 		frag string
 	}{
-		{serve.JobSpec{Experiment: "fig99"}, "unknown experiment"},
-		{serve.JobSpec{}, "experiment is required"},
-		{serve.JobSpec{Experiment: "fig12", Policy: "bogus=1"}, "unknown policy key"},
-		{serve.JobSpec{Experiment: "fig12", TraceFormat: "xml"}, "trace format"},
-		{serve.JobSpec{Experiment: "fig12", TimeoutSec: -1}, "timeout_sec"},
-		{serve.JobSpec{Experiment: "fig12", Parallel: -1}, "parallel"},
-		{serve.JobSpec{Experiment: "fig12", Shards: -2}, "shards"},
+		{`{"experiment":"fig99"}`, "unknown experiment"},
+		{`{}`, "experiment is required"},
+		{`{"experiment":"fig12","policy":"bogus=1"}`, "unknown policy key"},
+		{`{"experiment":"fig12","trace_format":"xml"}`, "trace format"},
+		{`{"experiment":"fig12","timeout_sec":-1}`, "timeout_sec"},
+		{`{"experiment":"fig12","parallel":-1}`, "parallel"},
+		// A retired field is rejected, not silently dropped.
+		{`{"experiment":"fig2","quick":true,"shards":4}`, `unknown field "shards"`},
 	}
 	for _, tc := range cases {
-		_, err := c.Submit(ctx, tc.spec)
-		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) {
-			t.Fatalf("Submit(%+v) err = %v, want *APIError", tc.spec, err)
+		resp, err := http.Post(c.BaseURL()+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if apiErr.StatusCode != http.StatusBadRequest {
-			t.Errorf("Submit(%+v) status = %d, want 400", tc.spec, apiErr.StatusCode)
+		var apiErr struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s status = %d, want 400", tc.body, resp.StatusCode)
 		}
-		if !strings.Contains(apiErr.Message, tc.frag) {
-			t.Errorf("Submit(%+v) message %q missing %q", tc.spec, apiErr.Message, tc.frag)
-		}
-	}
-}
-
-// TestShardsExcludedFromDigest pins the result-cache contract for sharding:
-// Shards shapes scheduling, not output, so a sharded resubmission of an
-// identical spec coalesces onto the cached job instead of re-running, and a
-// forced sharded execution produces artifacts with the same content digests
-// as the serial run.
-func TestShardsExcludedFromDigest(t *testing.T) {
-	_, c := newServer(t, serve.Config{Workers: 1})
-	ctx := ctxT(t)
-
-	a, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig2", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, err := c.Wait(ctx, a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa.State != serve.StateDone {
-		t.Fatalf("serial job state %s (%s)", fa.State, fa.Error)
-	}
-
-	// Same spec plus Shards: must coalesce onto the cached serial job.
-	b, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig2", Quick: true, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ID != a.ID {
-		t.Fatalf("sharded resubmission got job %s, want cache hit on %s", b.ID, a.ID)
-	}
-
-	// Forced sharded execution: same artifact bytes, by content digest.
-	f, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig2", Quick: true, Shards: 4, Force: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := c.Wait(ctx, f.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.State != serve.StateDone {
-		t.Fatalf("sharded job state %s (%s)", ff.State, ff.Error)
-	}
-	want := map[string]string{}
-	for _, art := range fa.Artifacts {
-		want[art.Name] = art.Digest
-	}
-	for _, art := range ff.Artifacts {
-		if art.Name == "timeline.json" {
-			continue // wall-clock bytes; exempt from determinism by design
-		}
-		if want[art.Name] != art.Digest {
-			t.Errorf("artifact %s differs between serial and sharded runs: %s vs %s",
-				art.Name, want[art.Name], art.Digest)
+		if !strings.Contains(apiErr.Error, tc.frag) {
+			t.Errorf("POST %s message %q missing %q", tc.body, apiErr.Error, tc.frag)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -147,6 +148,65 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	e.RunUntil(500)
 	if e.Now() != 500 {
 		t.Fatalf("now = %v, want 500", e.Now())
+	}
+	// A deadline in the past does not rewind the clock.
+	e.RunUntil(7)
+	if e.Now() != 500 {
+		t.Fatalf("RunUntil(7) moved the clock to %v, want it to stay at 500", e.Now())
+	}
+}
+
+func TestDrainFiresThroughDeadlineAndCounts(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	for _, at := range []Time{5, 10, 10, 20} {
+		at := at
+		e.At(at, func(now Time) { fired = append(fired, now) })
+	}
+	e.RunUntil(10)
+	if n := len(fired); n != 3 {
+		t.Fatalf("RunUntil(10) fired %d events, want 3", n)
+	}
+	if want := []Time{5, 10, 10}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired = %v, want %v", fired, want)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("now = %v, want 10", e.Now())
+	}
+	// Advancing past the last event still moves the clock to the deadline.
+	e.RunUntil(100)
+	if n := len(fired) - 3; n != 1 || e.Now() != 100 {
+		t.Fatalf("RunUntil(100) = %d events, now %v; want 1 event, now 100", n, e.Now())
+	}
+}
+
+func TestDrainOnEmptyQueueAdvancesClock(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	e.RunUntil(42)
+	if fired != 0 || e.Now() != 42 || e.Pending() != 0 {
+		t.Fatalf("RunUntil(42) = %d, now %v; want 0, 42", fired, e.Now())
+	}
+	// A deadline in the past is a no-op, not a clock rewind.
+	e.At(50, func(Time) { fired++ })
+	e.RunUntil(7)
+	if fired != 0 || e.Now() != 42 {
+		t.Fatalf("RunUntil(7) = %d, now %v; want 0, 42", fired, e.Now())
+	}
+}
+
+func TestNextEventAt(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt on empty queue reported ok")
+	}
+	e.At(30, func(Time) {})
+	e.At(10, func(Time) {})
+	if at, ok := e.NextEventAt(); !ok || at != 10 {
+		t.Fatalf("NextEventAt = %v, %v; want 10, true", at, ok)
+	}
+	if e.Now() != 0 || e.Pending() != 2 {
+		t.Fatal("NextEventAt must not fire or advance anything")
 	}
 }
 
@@ -324,6 +384,46 @@ func BenchmarkEngineStepDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// benchChains × benchChainEvents is the per-op workload of
+// BenchmarkSerialRunAll: 64 independent chains of 200 events each (12800
+// events), the shape of a multi-channel replay.
+const (
+	benchChains      = 64
+	benchChainEvents = 200
+)
+
+func scheduleBenchChains(e *Engine, state []uint64) {
+	for ch := 0; ch < benchChains; ch++ {
+		ch := ch
+		i := 0
+		var fire Event
+		fire = func(now Time) {
+			// ~a dozen ns of "model" work per event, all chain-local.
+			x := state[ch]
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			state[ch] = x + uint64(now)
+			i++
+			if i < benchChainEvents {
+				e.At(now+Time(1+x%7), fire)
+			}
+		}
+		e.At(Time(1+ch), fire)
+	}
+}
+
+// BenchmarkSerialRunAll schedules the chains on one Engine and runs it dry.
+func BenchmarkSerialRunAll(b *testing.B) {
+	state := make([]uint64, benchChains)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine()
+		scheduleBenchChains(e, state)
+		e.Run()
 	}
 }
 

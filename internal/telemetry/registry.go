@@ -161,11 +161,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // GaugeFunc registers a gauge evaluated from fn at read time. Reads happen
-// only at sampling instants, and under sharded execution samples fire only
-// at barriers with every shard quiesced — so fn may freely reduce
-// per-shard or per-channel state (e.g. memctrl's counter slices) without
-// synchronization: batched per-shard accumulation with a deterministic
-// merge at the barrier, instead of per-event synchronized writes.
+// only at sampling instants, on the goroutine that drives the simulation,
+// so fn may read model state (e.g. memctrl's counters) without
+// synchronization.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.add(name, entry{kind: kindGauge, gauge: &Gauge{fn: fn}})
 }
