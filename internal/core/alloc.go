@@ -51,7 +51,7 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 	// Allocation is balanced, so EVERY channel must supply its share; a
 	// global count would overlook per-channel shortfalls (e.g. after a
 	// rank retirement made capacities asymmetric).
-	perChannelNeed := aus * d.cfg.SegmentsPerAU() / int64(d.cfg.Geometry.Channels)
+	perChannelNeed := aus * d.segsPerAU / int64(d.cfg.Geometry.Channels)
 
 	// Wake rank groups until every channel's active free pool covers its
 	// share of the request.
@@ -77,7 +77,7 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 		return Allocation{}, fmt.Errorf("core: host %d out of AU ids", host)
 	}
 
-	segsPerAU := d.cfg.SegmentsPerAU()
+	segsPerAU := d.segsPerAU
 	st := &vmState{host: host, aus: make([]int64, 0, aus)}
 	alloc := Allocation{
 		VM: vm, Host: host, Bytes: aus * d.cfg.AUBytes, Reactivated: reactivated,
@@ -89,7 +89,7 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 	for i := int64(0); i < aus; i++ {
 		auID := d.auFree[host].popFront()
 		st.aus = append(st.aus, auID)
-		d.auOwner[int64(host)*d.cfg.TotalAUs()+auID] = int64(vm)
+		d.auOwner[d.auSlot(host, auID)] = int64(vm)
 		alloc.AUBases = append(alloc.AUBases, d.auBase(host, auID))
 
 		// Each channel contributes an equal number of segments; consecutive
@@ -237,17 +237,20 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 	}
 	d.mig.completeUpTo(now)
 
-	segsPerAU := d.cfg.SegmentsPerAU()
+	// One sweep of the SMC drops every cached translation of the VM; a
+	// per-segment invalidate would probe it once per segment (1024 per
+	// 2 GiB AU) for a cache of about a thousand entries.
+	owner := int64(vm)
+	d.smc.invalidateMatching(func(hsn dram.HSN) bool { return d.ownerOf(hsn) == owner })
 	for _, au := range st.aus {
-		for off := int64(0); off < segsPerAU; off++ {
-			hsn := d.hsnOf(st.host, au, off)
+		first := d.hsnOf(st.host, au, 0)
+		for hsn := first; hsn < first+dram.HSN(d.segsPerAU); hsn++ {
 			dsn, ok := d.segMap.get(hsn)
 			if !ok {
 				return fmt.Errorf("core: vm %d hsn %d missing from segment mapping table", vm, hsn)
 			}
 			d.segMap.del(hsn)
 			d.revMap[dsn] = dsnFree
-			d.smc.invalidate(hsn)
 			l := d.codec.DecodeDSN(dsn)
 			gr := d.codec.GlobalRank(l.Channel, l.Rank)
 			d.free[gr].push(int32(dsn))
@@ -256,7 +259,7 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 		}
 	}
 	for _, au := range st.aus {
-		d.auOwner[int64(st.host)*d.cfg.TotalAUs()+au] = telemetry.SystemVM
+		d.auOwner[d.auSlot(st.host, au)] = telemetry.SystemVM
 	}
 	d.auFree[st.host].pushAll(st.aus)
 	delete(d.vms, vm)

@@ -188,3 +188,73 @@ func BenchmarkAccessPathInflight(b *testing.B) {
 		step(i)
 	}
 }
+
+// BenchmarkDeallocateDrain measures the VM-release control path in the
+// state the rack and fig12 runs are in: fig12's 384 GiB device (4 ch × 8 ×
+// 12 GiB ranks) holding forty 2 GiB VMs over 16 hosts and two 64 GiB VMs,
+// a ledger attached, and a warm, full SMC. Each op deallocates one of the
+// large VMs, which powers a rank group down and drains 8192 live segments
+// (16 GiB) of the other VMs into the remaining ranks, then allocates it
+// again, which wakes a group back up. Between ops, untimed, virtual time
+// advances five minutes so the drain copies retire, and 2048 reads over
+// every VM refill the SMC.
+func BenchmarkDeallocateDrain(b *testing.B) {
+	const (
+		small, smallBytes = 40, 2 * dram.GiB
+		large, largeBytes = 2, 64 * dram.GiB
+	)
+	d, err := New(DefaultConfig(dram.Geometry{
+		Channels:        4,
+		RanksPerChannel: 8,
+		BanksPerRank:    16,
+		SegmentBytes:    2 * dram.MiB,
+		RankBytes:       12 * dram.GiB,
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.StartLedger()
+	bases := map[VMID][]dram.HPA{}
+	alloc := func(vm VMID, host HostID, bytes int64, now sim.Time) {
+		a, err := d.AllocateVM(vm, host, bytes, now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bases[vm] = a.AUBases
+	}
+	for vm := VMID(0); vm < small; vm++ {
+		alloc(large+vm, HostID(vm%16), smallBytes, 0)
+	}
+	for vm := VMID(0); vm < large; vm++ {
+		alloc(vm, 0, largeBytes, 0)
+	}
+	rng := rand.New(rand.NewSource(1))
+	now := sim.Time(0)
+	warm := func() {
+		for i := 0; i < 2048; i++ {
+			vm := VMID(rng.Intn(small + large))
+			au := bases[vm][rng.Intn(len(bases[vm]))]
+			if _, err := d.Access(au+dram.HPA(rng.Int63n(d.cfg.AUBytes)&^63), false, now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		moved := d.Stats().SegmentsMigrated
+		vm := VMID(i % large)
+		if err := d.DeallocateVM(vm, now); err != nil {
+			b.Fatal(err)
+		}
+		alloc(vm, 0, largeBytes, now)
+		b.StopTimer()
+		if moved == d.Stats().SegmentsMigrated {
+			b.Fatalf("op %d drained nothing", i)
+		}
+		now += 5 * sim.Minute
+		warm()
+		b.StartTimer()
+	}
+}

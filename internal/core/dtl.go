@@ -61,8 +61,10 @@ type DTL struct {
 
 	// allocScratch holds the per-channel segment staging buffers AllocateVM
 	// fills from the free queues, reused across calls so the allocation
-	// fast path stays off the heap.
+	// fast path stays off the heap. drainScratch is drainRank's list of a
+	// victim rank's live segments, reused the same way.
 	allocScratch [][]int32
+	drainScratch []dram.DSN
 
 	// poweredDown is the stack of virtual rank groups currently in MPSM,
 	// most recent last (§4.3 "Virtualizing Rank Group").
@@ -85,13 +87,16 @@ type DTL struct {
 
 	// ledger is the attribution cost ledger (nil unless attached; charging
 	// is zero-cost when disabled, like the tracer). auOwner maps a global
-	// AU slot (host × TotalAUs + au) to the owning VM id so the access
-	// fast path can attribute a charge without a map lookup; unowned slots
-	// hold telemetry.SystemVM. migEnergyPerSeg is the precomputed active
-	// energy proxy of copying one segment (ActivePowerPerGBs × bytes).
+	// AU slot (auSlot: host × TotalAUs + au) to the owning VM id so the
+	// access fast path can attribute a charge without a map lookup; unowned
+	// slots hold telemetry.SystemVM. segsPerAU and totalAUs cache the
+	// Config methods of the same names for per-segment loops.
+	// migEnergyPerSeg is the precomputed active energy proxy of copying one
+	// segment (ActivePowerPerGBs × bytes).
 	ledger          *telemetry.Ledger
 	auOwner         []int64
 	segsPerAU       int64
+	totalAUs        int64
 	migEnergyPerSeg float64
 }
 
@@ -188,8 +193,9 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 	d.st = newStatCounters(d.reg)
 	d.ctrl.RegisterMetrics(d.reg)
 	d.segsPerAU = cfg.SegmentsPerAU()
+	d.totalAUs = cfg.TotalAUs()
 	d.migEnergyPerSeg = dev.Power().ActivePowerPerGBs * float64(g.SegmentBytes)
-	d.auOwner = make([]int64, int64(cfg.MaxHosts)*cfg.TotalAUs())
+	d.auOwner = make([]int64, int64(cfg.MaxHosts)*d.totalAUs)
 	for i := range d.auOwner {
 		d.auOwner[i] = telemetry.SystemVM
 	}
@@ -434,12 +440,14 @@ func (d *DTL) Hotness() *Hotness { return (*Hotness)(d.hot) }
 // Migrator exposes migration-protocol statistics.
 func (d *DTL) Migrator() *Migrator { return (*Migrator)(d.mig) }
 
+// auSlot is the global index of (host, au): its auOwner slot, and the
+// HSN of its first segment divided by segsPerAU.
+func (d *DTL) auSlot(host HostID, au int64) int64 { return int64(host)*d.totalAUs + au }
+
 // hsnOf composes the host segment number for (host, au, offset) — the
 // Figure 4 HSN decomposition, arithmetic form.
 func (d *DTL) hsnOf(host HostID, au int64, off int64) dram.HSN {
-	perAU := d.cfg.SegmentsPerAU()
-	maxAUs := d.cfg.TotalAUs()
-	return dram.HSN((int64(host)*maxAUs+au)*perAU + off)
+	return dram.HSN(d.auSlot(host, au)*d.segsPerAU + off)
 }
 
 // AccessResult describes one translated and serviced memory access.
@@ -590,9 +598,9 @@ func (d *DTL) Tick(now sim.Time) {
 }
 
 // CheckInvariants verifies the mapping bijection, free-queue consistency,
-// power-state safety, SMC coherence with the segment table, and the SMC and
-// migrator indexes. It is used by property tests and is cheap enough to run
-// after every structural operation in tests.
+// power-state safety, SMC coherence with the segment table, AU ownership,
+// and the SMC and migrator indexes. It is used by property tests and is
+// cheap enough to run after every structural operation in tests.
 func (d *DTL) CheckInvariants() error {
 	g := d.cfg.Geometry
 	// segMap and revMap must be mutually inverse.
@@ -680,6 +688,24 @@ func (d *DTL) CheckInvariants() error {
 				return fmt.Errorf("invariant: SMC caches hsn %d -> dsn %d, table has %d (mapped %v)", e.hsn, e.dsn, got, ok)
 			}
 		}
+	}
+	// auOwner names each live VM's AUs and no other slot.
+	owned := 0
+	for vm, st := range d.vms {
+		for _, au := range st.aus {
+			if got := d.auOwner[d.auSlot(st.host, au)]; got != int64(vm) {
+				return fmt.Errorf("invariant: host %d AU %d owned by vm %d, want vm %d", st.host, au, got, vm)
+			}
+		}
+		owned += len(st.aus)
+	}
+	for _, vm := range d.auOwner {
+		if vm != telemetry.SystemVM {
+			owned--
+		}
+	}
+	if owned != 0 {
+		return fmt.Errorf("invariant: auOwner names %d slots beyond the live VMs' AUs", -owned)
 	}
 	if err := d.smc.check(); err != nil {
 		return err

@@ -141,22 +141,37 @@ func (d *DTL) activeRanks(ch int) []int {
 
 // drainRank copies every live segment off the victim rank into other active
 // ranks of the same channel, updating the mapping tables and charging the
-// migration engine.
+// migration engine. Callers must have checked capacity (drainCapacityOn);
+// running out mid-drain is a model bug and panics.
+//
+// The target rank is chosen once per run, not once per segment: the rank
+// drainTargetRank picks has the most allocated segments of the eligible
+// ranks, each copy adds one to it and takes one from the excluded victim
+// only, so it stays the pick until its free queue runs dry. The DSN
+// sequence is the one a per-segment takeDrainTargetOn would produce.
 func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 	ch := victim.Channel
 	victimGR := d.codec.GlobalRank(ch, victim.Rank)
 
 	// Collect live segments on the victim.
-	var live []dram.DSN
+	live := d.drainScratch[:0]
 	for idx := int64(0); idx < d.cfg.Geometry.SegmentsPerRank(); idx++ {
 		dsn := d.codec.EncodeDSN(dram.Loc{Rank: victim.Rank, Channel: ch, Index: idx})
 		if d.revMap[dsn] != dsnFree {
 			live = append(live, dsn)
 		}
 	}
+	d.drainScratch = live
 
+	target := -1
 	for _, src := range live {
-		dst := d.takeDrainTarget(ch, victim.Rank)
+		if target < 0 || d.free[target].len() == 0 {
+			if target = d.drainTargetRank(ch, victim.Rank); target < 0 {
+				panic("core: no drain target available (capacity precondition violated)")
+			}
+		}
+		dst := dram.DSN(d.free[target].popFront())
+		d.allocated[target]++
 		d.moveSegment(src, dst, now, reason)
 		d.st.segmentsMigrated.Inc()
 	}
@@ -168,22 +183,11 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 	}
 }
 
-// takeDrainTarget pops a free segment on channel ch from the most-utilized
-// active rank other than exclude. Callers must have checked capacity
-// (drainCapacityOn); running out mid-drain is a model bug and panics.
-func (d *DTL) takeDrainTarget(ch, exclude int) dram.DSN {
-	dsn, ok := d.takeDrainTargetOn(ch, exclude)
-	if !ok {
-		panic("core: no drain target available (capacity precondition violated)")
-	}
-	return dsn
-}
-
-// takeDrainTargetOn is takeDrainTarget without the capacity precondition:
-// it reports false when no eligible rank (active, non-failed, with free
-// space) exists on the channel. The migration verify-after-copy path uses it
-// to re-route around a destination rank that faulted mid-copy.
-func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
+// drainTargetRank returns the global rank on channel ch that receives
+// drained or re-routed segments: the most-utilized rank other than exclude
+// that is active, non-failed and has free space (lowest index among ties),
+// or -1 when none is eligible. drainCapacityOn counts the same ranks.
+func (d *DTL) drainTargetRank(ch, exclude int) int {
 	best := -1
 	var bestAlloc int64 = -1
 	for rk := 0; rk < d.cfg.Geometry.RanksPerChannel; rk++ {
@@ -201,11 +205,20 @@ func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
 			best, bestAlloc = gr, d.allocated[gr]
 		}
 	}
-	if best < 0 {
+	return best
+}
+
+// takeDrainTargetOn pops a free segment on channel ch from the
+// drainTargetRank pick, reporting false when no rank is eligible. The
+// migration verify-after-copy path uses it to re-route around a destination
+// rank that faulted mid-copy.
+func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
+	gr := d.drainTargetRank(ch, exclude)
+	if gr < 0 {
 		return 0, false
 	}
-	dsn := dram.DSN(d.free[best].popFront())
-	d.allocated[best]++
+	dsn := dram.DSN(d.free[gr].popFront())
+	d.allocated[gr]++
 	return dsn, true
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -199,5 +200,184 @@ func TestMigrationChargedToMigrator(t *testing.T) {
 	}
 	if d.Migrator().TotalBusyNs() <= 0 {
 		t.Fatal("no migration bus time charged")
+	}
+}
+
+// drainTestDTL builds a 2-channel device with 8 ranks of 32 segments per
+// channel, enough ranks to hold a victim, tied targets, a failed rank and
+// an MPSM rank at once.
+func drainTestDTL(t *testing.T) *DTL {
+	t.Helper()
+	cfg := DefaultConfig(dram.Geometry{
+		Channels:        2,
+		RanksPerChannel: 8,
+		BanksPerRank:    16,
+		SegmentBytes:    2 * dram.MiB,
+		RankBytes:       64 * dram.MiB,
+	})
+	cfg.AUBytes = 16 * dram.MiB
+	cfg.MaxHosts = 4
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// placeLive maps n fresh host segments onto rank (ch, rk) from the head of
+// its free queue, as an allocation would.
+func placeLive(d *DTL, ch, rk, n int, next *dram.HSN) {
+	gr := d.codec.GlobalRank(ch, rk)
+	for i := 0; i < n; i++ {
+		dsn := dram.DSN(d.free[gr].popFront())
+		d.allocated[gr]++
+		d.segMap.set(*next, dsn)
+		d.revMap[dsn] = *next
+		*next++
+	}
+}
+
+// refDrainDests is the per-segment drain rule: for each live segment of the
+// victim, in slot order, take the head of the free queue of the eligible
+// rank (not the victim, not MPSM, not failed, with free space) holding the
+// most live segments, the lowest rank index among ties. It works on copies
+// of the queues and counters and returns the destinations in order.
+func refDrainDests(t *testing.T, d *DTL, victim dram.RankID) []dram.DSN {
+	t.Helper()
+	g := d.cfg.Geometry
+	ch := victim.Channel
+	free := make([][]int32, g.RanksPerChannel)
+	alloc := make([]int64, g.RanksPerChannel)
+	for rk := range free {
+		gr := d.codec.GlobalRank(ch, rk)
+		free[rk] = append([]int32(nil), d.free[gr].items()...)
+		alloc[rk] = d.allocated[gr]
+	}
+	var out []dram.DSN
+	for idx := int64(0); idx < g.SegmentsPerRank(); idx++ {
+		if d.revMap[d.codec.EncodeDSN(dram.Loc{Channel: ch, Rank: victim.Rank, Index: idx})] == dsnFree {
+			continue
+		}
+		best := -1
+		for rk := range free {
+			id := dram.RankID{Channel: ch, Rank: rk}
+			if rk == victim.Rank || len(free[rk]) == 0 || d.dev.State(id) == dram.MPSM || d.dev.Failed(id) {
+				continue
+			}
+			if best < 0 || alloc[rk] > alloc[best] {
+				best = rk
+			}
+		}
+		if best < 0 {
+			t.Fatal("reference drain ran out of targets")
+		}
+		out = append(out, dram.DSN(free[best][0]))
+		free[best] = free[best][1:]
+		alloc[best]++
+	}
+	return out
+}
+
+// checkDrainOrder drains victim and checks each live segment, in slot
+// order, landed where the per-segment rule would have put it.
+func checkDrainOrder(t *testing.T, d *DTL, victim dram.RankID) {
+	t.Helper()
+	want := refDrainDests(t, d, victim)
+	var hsns []dram.HSN
+	for idx := int64(0); idx < d.cfg.Geometry.SegmentsPerRank(); idx++ {
+		if h := d.revMap[d.codec.EncodeDSN(dram.Loc{Channel: victim.Channel, Rank: victim.Rank, Index: idx})]; h != dsnFree {
+			hsns = append(hsns, h)
+		}
+	}
+	d.drainRank(victim, 1000, "test")
+	for i, h := range hsns {
+		if got, _ := d.segMap.get(h); got != want[i] {
+			t.Fatalf("segment %d (hsn %d) drained to dsn %d, per-segment rule gives %d", i, h, got, want[i])
+		}
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDrainRunMatchesPerSegmentRule pins drainRank's one-pick-per-run loop
+// to the per-segment target rule on hand-built states: tied allocated
+// counts, a failed rank and an MPSM rank that would otherwise win, and
+// targets whose free queues run dry mid-drain.
+func TestDrainRunMatchesPerSegmentRule(t *testing.T) {
+	type rankSetup struct {
+		live   int
+		failed bool
+		mpsm   bool
+	}
+	for _, tc := range []struct {
+		name  string
+		ranks []rankSetup // channel 0, rank 0 is the victim
+	}{
+		{"tie", []rankSetup{{live: 10}, {live: 1}, {live: 5}, {live: 3}, {live: 1}, {live: 5}, {}, {}}},
+		{"failed", []rankSetup{{live: 10}, {live: 4}, {live: 4}, {live: 20, failed: true}, {live: 15}, {}, {}, {}}},
+		{"mpsm", []rankSetup{{live: 6}, {mpsm: true}, {}, {}, {}, {}, {}, {}}},
+		{"dry", []rankSetup{{live: 20}, {live: 30}, {live: 25}, {live: 3}, {live: 12}, {live: 12}, {}, {}}},
+		{"mixed", []rankSetup{{live: 32}, {live: 31, failed: true}, {live: 29}, {mpsm: true}, {live: 29}, {live: 16}, {live: 2}, {live: 16}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := drainTestDTL(t)
+			next := dram.HSN(0)
+			for rk, r := range tc.ranks {
+				placeLive(d, 0, rk, r.live, &next)
+				id := dram.RankID{Channel: 0, Rank: rk}
+				if r.failed {
+					d.dev.FailRank(id, 0)
+				}
+				if r.mpsm {
+					d.dev.SetState(id, dram.MPSM, 0)
+				}
+			}
+			checkDrainOrder(t, d, dram.RankID{Channel: 0, Rank: 0})
+		})
+	}
+}
+
+// TestDrainRunMatchesPerSegmentRuleRandom drives the same comparison over
+// seeded states: random occupancy, free queues scrambled by frees, random
+// failed and MPSM ranks, a random victim on either channel.
+func TestDrainRunMatchesPerSegmentRuleRandom(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := drainTestDTL(t)
+		g := d.cfg.Geometry
+		perRank := int(g.SegmentsPerRank())
+		ch := rng.Intn(g.Channels)
+		victim := dram.RankID{Channel: ch, Rank: rng.Intn(g.RanksPerChannel)}
+		next := dram.HSN(0)
+		for rk := 0; rk < g.RanksPerChannel; rk++ {
+			id := dram.RankID{Channel: ch, Rank: rk}
+			if rk != victim.Rank && rng.Intn(6) == 0 {
+				d.dev.SetState(id, dram.MPSM, 0)
+				continue
+			}
+			placeLive(d, ch, rk, rng.Intn(perRank+1), &next)
+			// Free a few segments back to the queue tail so pop order is
+			// not slot order.
+			gr := d.codec.GlobalRank(ch, rk)
+			for i := rng.Intn(4); i > 0 && d.allocated[gr] > 0; i-- {
+				idx := int64(rng.Intn(perRank))
+				dsn := d.codec.EncodeDSN(dram.Loc{Channel: ch, Rank: rk, Index: idx})
+				if h := d.revMap[dsn]; h != dsnFree {
+					d.segMap.del(h)
+					d.revMap[dsn] = dsnFree
+					d.free[gr].push(int32(dsn))
+					d.allocated[gr]--
+				}
+			}
+			if rk != victim.Rank && rng.Intn(5) == 0 {
+				d.dev.FailRank(id, 0)
+			}
+		}
+		vgr := d.codec.GlobalRank(ch, victim.Rank)
+		if d.drainCapacityOn(ch, victim.Rank) < d.allocated[vgr] {
+			continue // drainRank's callers never drain past capacity
+		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { checkDrainOrder(t, d, victim) })
 	}
 }

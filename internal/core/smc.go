@@ -146,10 +146,7 @@ func (c *smc) installL2(hsn dram.HSN, dsn dram.DSN) {
 // "an invalidation of the corresponding entry in the segment mapping cache").
 func (c *smc) invalidate(hsn dram.HSN) {
 	if s := c.l1Find(hsn); s >= 0 {
-		c.l1Unlink(s)
-		c.l1Unindex(s)
-		c.l1[s].valid = false
-		c.l1Free[s/64] |= 1 << (s % 64)
+		c.l1Drop(s)
 	}
 	set := int(int64(hsn) % int64(c.l2Sets))
 	base := set * c.l2Ways
@@ -158,6 +155,33 @@ func (c *smc) invalidate(hsn dram.HSN) {
 			c.l2[i].valid = false
 		}
 	}
+}
+
+// invalidateMatching drops every cached mapping whose HSN satisfies match,
+// walking each L1 and L2 slot once. It leaves the same state as calling
+// invalidate on each such HSN: L2 drops only clear valid bits, unlinking
+// from the recency list keeps the survivors' order, and backward-shift
+// deletion leaves the index as if the dropped HSNs had never been inserted,
+// whatever the deletion order.
+func (c *smc) invalidateMatching(match func(dram.HSN) bool) {
+	for s := range c.l1 {
+		if c.l1[s].valid && match(c.l1[s].hsn) {
+			c.l1Drop(int32(s))
+		}
+	}
+	for i := range c.l2 {
+		if c.l2[i].valid && match(c.l2[i].hsn) {
+			c.l2[i].valid = false
+		}
+	}
+}
+
+// l1Drop invalidates the valid L1 slot s.
+func (c *smc) l1Drop(s int32) {
+	c.l1Unlink(s)
+	c.l1Unindex(s)
+	c.l1[s].valid = false
+	c.l1Free[s/64] |= 1 << (s % 64)
 }
 
 // check verifies the L1 indexes: the hash index and the valid slots form a

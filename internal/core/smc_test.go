@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -381,4 +382,72 @@ func sameSMC(got *smc, want *refSMC) error {
 		}
 	}
 	return got.check()
+}
+
+// TestSMCSweepMatchesPerHSNInvalidate checks invalidateMatching, the one
+// sweep DeallocateVM makes, against invalidating each of the departing
+// VM's HSNs one by one, in ascending order as a per-segment release would.
+// Seeded streams fill the caches from HSNs grouped into AUs owned by a few
+// VMs; after each sweep the swept smc must match the linear-scan reference
+// (every slot, recency order, free bitmap) and an indexed twin that took the
+// per-HSN path (every slot and the hash index itself).
+func TestSMCSweepMatchesPerHSNInvalidate(t *testing.T) {
+	const segsPerAU = 16
+	for _, sz := range []struct{ l1, l2, ways, aus int }{
+		{1, 4, 2, 2},
+		{3, 16, 4, 6},
+		{8, 64, 4, 12},
+		{64, 1024, 4, 128},
+		{70, 256, 8, 48},
+	} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, twin := newSMC(sz.l1, sz.l2, sz.ways), newSMC(sz.l1, sz.l2, sz.ways)
+			want := newRefSMC(sz.l1, sz.l2, sz.ways)
+			// Sparse AU slots, so index probe runs collide and wrap; each
+			// AU belongs to one of five VMs.
+			aus := make([]int64, sz.aus)
+			owner := map[int64]int{}
+			for i := range aus {
+				aus[i] = rng.Int63n(1 << 30)
+				owner[aus[i]] = rng.Intn(5)
+			}
+			for op := 0; op < 3000; op++ {
+				if rng.Intn(20) > 0 { // access: lookup, fill on a miss
+					hsn := dram.HSN(aus[rng.Intn(len(aus))]*segsPerAU + rng.Int63n(segsPerAU))
+					got.lookup(hsn)
+					twin.lookup(hsn)
+					if _, lvl := want.lookup(hsn); lvl == 0 {
+						dsn := dram.DSN(rng.Int63n(1 << 20))
+						got.install(hsn, dsn)
+						twin.install(hsn, dsn)
+						want.install(hsn, dsn)
+					}
+				} else { // release one VM
+					vm := rng.Intn(5)
+					got.invalidateMatching(func(hsn dram.HSN) bool { return owner[int64(hsn)/segsPerAU] == vm })
+					mine := []int64{}
+					for _, au := range aus {
+						if owner[au] == vm {
+							mine = append(mine, au)
+						}
+					}
+					sort.Slice(mine, func(i, j int) bool { return mine[i] < mine[j] })
+					for _, au := range mine {
+						for off := int64(0); off < segsPerAU; off++ {
+							twin.invalidate(dram.HSN(au*segsPerAU + off))
+							want.invalidate(dram.HSN(au*segsPerAU + off))
+						}
+					}
+				}
+				if err := sameSMC(got, want); err != nil {
+					t.Fatalf("%+v seed %d op %d: %v", sz, seed, op, err)
+				}
+				if !slices.Equal(got.l1Index, twin.l1Index) || !slices.Equal(got.l1Free, twin.l1Free) ||
+					!slices.Equal(got.l1, twin.l1) || !slices.Equal(got.l2, twin.l2) {
+					t.Fatalf("%+v seed %d op %d: swept smc differs from per-HSN invalidation", sz, seed, op)
+				}
+			}
+		}
+	}
 }

@@ -308,7 +308,7 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 		if err := get(cr, &id, &host, &nAUs); err != nil {
 			return nil, err
 		}
-		if host < 0 || host >= int64(d.cfg.MaxHosts) || nAUs < 0 || nAUs > d.cfg.TotalAUs() {
+		if host < 0 || host >= int64(d.cfg.MaxHosts) || nAUs < 0 || nAUs > d.totalAUs {
 			return nil, fmt.Errorf("core: snapshot vm %d invalid (host %d, aus %d)", id, host, nAUs)
 		}
 		st := &vmState{host: HostID(host), aus: make([]int64, nAUs)}
@@ -316,12 +316,18 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 			return nil, err
 		}
 		for _, au := range st.aus {
-			for off := int64(0); off < d.cfg.SegmentsPerAU(); off++ {
+			if au < 0 || au >= d.totalAUs {
+				return nil, fmt.Errorf("core: snapshot vm %d has AU id %d out of range", id, au)
+			}
+			for off := int64(0); off < d.segsPerAU; off++ {
 				hsn := d.hsnOf(st.host, au, off)
 				if _, ok := d.segMap.get(hsn); !ok {
 					return nil, fmt.Errorf("core: snapshot vm %d missing mapping for hsn %d", id, hsn)
 				}
 			}
+			// The ledger attributes the VM's costs, and DeallocateVM finds
+			// its SMC entries, through the AU's owner.
+			d.auOwner[d.auSlot(st.host, au)] = id
 		}
 		d.vms[VMID(id)] = st
 	}
@@ -332,7 +338,7 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 		if err := get(cr, &n); err != nil {
 			return nil, err
 		}
-		if n < 0 || n > d.cfg.TotalAUs() {
+		if n < 0 || n > d.totalAUs {
 			return nil, fmt.Errorf("core: snapshot host %d has %d free AUs", h, n)
 		}
 		aus := make([]int64, n)

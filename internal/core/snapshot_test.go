@@ -9,6 +9,7 @@ import (
 
 	"dtl/internal/dram"
 	"dtl/internal/sim"
+	"dtl/internal/telemetry"
 )
 
 // buildPopulatedDTL creates a DTL with several VMs, a powered-down group
@@ -110,6 +111,56 @@ func TestSnapshotRestoredDeviceIsUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotRestoredLedgerChargesOwner guards the restore of AU
+// ownership: an access to a restored VM is charged to that VM, not to
+// SystemVM.
+func TestSnapshotRestoredLedgerChargesOwner(t *testing.T) {
+	d := buildPopulatedDTL(t)
+	var buf bytes.Buffer
+	if err := d.SaveMetadata(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadMetadata(&buf, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := r.StartLedger()
+	a, _ := r.VMAddresses(1)
+	if _, err := r.Access(a[0], false, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	entries := led.Snapshot().Entries
+	if len(entries) == 0 {
+		t.Fatal("access charged nothing")
+	}
+	for _, e := range entries {
+		if e.VM != 1 {
+			t.Fatalf("restored vm 1's access charged %+v", e)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesWrongAUOwner corrupts AU ownership both ways:
+// a live VM's AU handed to SystemVM, and a free AU slot naming a VM.
+func TestCheckInvariantsCatchesWrongAUOwner(t *testing.T) {
+	d := buildPopulatedDTL(t)
+	slot := d.auSlot(d.vms[1].host, d.vms[1].aus[0])
+	d.auOwner[slot] = telemetry.SystemVM
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "owned by") {
+		t.Fatalf("CheckInvariants with a live AU unowned = %v", err)
+	}
+	d.auOwner[slot] = 1
+	free := d.auSlot(3, 0) // host 3 holds no VM
+	d.auOwner[free] = 3
+	if err := d.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "auOwner") {
+		t.Fatalf("CheckInvariants with a free AU owned = %v", err)
+	}
+	d.auOwner[free] = telemetry.SystemVM
+	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

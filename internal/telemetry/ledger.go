@@ -161,6 +161,12 @@ type Ledger struct {
 	byCause [NumCauses]LedgerCell
 	total   LedgerCell
 
+	// lastVM and lastCells remember the most recently charged VM's block:
+	// an access charges one VM up to four times, and a drain charges one
+	// VM's copies back to back, so most charges skip the map lookup.
+	lastVM    int64
+	lastCells []LedgerCell
+
 	spans  []AttrSpan
 	next   int   // overwrite position once the ring is full
 	nspans int64 // spans ever recorded
@@ -193,10 +199,13 @@ func (l *Ledger) Charge(vm int64, rank int, cause Cause, latNs int64, energy flo
 	if rank < -1 || rank >= l.cfg.Ranks {
 		panic(fmt.Sprintf("telemetry: ledger charge on rank %d of %d", rank, l.cfg.Ranks))
 	}
-	cells := l.cells[vm]
-	if cells == nil {
-		cells = make([]LedgerCell, (l.cfg.Ranks+1)*NumCauses)
-		l.cells[vm] = cells
+	cells := l.lastCells
+	if cells == nil || vm != l.lastVM {
+		if cells = l.cells[vm]; cells == nil {
+			cells = make([]LedgerCell, (l.cfg.Ranks+1)*NumCauses)
+			l.cells[vm] = cells
+		}
+		l.lastVM, l.lastCells = vm, cells
 	}
 	c := &cells[(rank+1)*NumCauses+int(cause)]
 	c.LatNs += latNs

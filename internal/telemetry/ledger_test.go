@@ -68,6 +68,26 @@ func TestLedgerChargeAccumulates(t *testing.T) {
 	}
 }
 
+// TestLedgerChargeInterleavedVMs switches VMs between charges, including a
+// VM's first charge between two of another's, so each charge must land in
+// its own VM's block whatever VM was charged before it.
+func TestLedgerChargeInterleavedVMs(t *testing.T) {
+	l := NewLedger(LedgerConfig{Ranks: 2})
+	for _, vm := range []int64{1, 1, 2, 1, 0, SystemVM, 3, 0, 3, 1, 2} {
+		l.Charge(vm, 0, CauseBaseline, 10*vm+100, 0)
+	}
+	want := map[int64]int64{SystemVM: 90, 0: 200, 1: 440, 2: 240, 3: 260}
+	entries := l.Snapshot().Entries
+	if len(entries) != len(want) {
+		t.Fatalf("entries = %+v", entries)
+	}
+	for _, e := range entries {
+		if e.LatNs != want[e.VM] {
+			t.Fatalf("vm %d charged %d ns, want %d", e.VM, e.LatNs, want[e.VM])
+		}
+	}
+}
+
 func TestLedgerNilIsSafe(t *testing.T) {
 	var l *Ledger
 	l.Charge(1, 0, CauseBaseline, 10, 1)
