@@ -13,10 +13,11 @@ package dram
 // immediately above the segment offset so that consecutive segments rotate
 // across channels, preserving channel-level parallelism for every VM.
 //
-// The implementation uses arithmetic (div/mod) rather than literal bit
+// The layout is defined arithmetically (div/mod) rather than as literal bit
 // slicing so that non-power-of-two channel and rank counts (e.g. the
 // 6-rank configurations of Figure 2) decode with the same ordering; for
-// power-of-two counts the two are identical.
+// power-of-two counts the two are identical, and the codec decodes those
+// with shifts and masks.
 type DPA int64
 
 // HPA is a host physical address as issued over CXL, before DTL translation.
@@ -42,8 +43,36 @@ type Loc struct {
 type AddressCodec struct {
 	geom        Geometry
 	segShift    uint // log2(segment size)
-	channels    int64
-	segsPerRkCh int64
+	channels    divisor
+	ranks       divisor // ranks per channel
+	segsPerRkCh divisor
+	banks       divisor
+}
+
+// divisor divides by a fixed positive d. A power-of-two d divides a
+// non-negative value by shift and mask, which equal / and % exactly there;
+// negative values and other divisors use / and %, which truncate toward zero
+// where a shift would floor.
+type divisor struct {
+	d     int64
+	shift uint
+	mask  int64 // d-1 when d is a power of two, else -1
+}
+
+func newDivisor(d int64) divisor {
+	q := divisor{d: d, shift: log2(d), mask: -1}
+	if d&(d-1) == 0 {
+		q.mask = d - 1
+	}
+	return q
+}
+
+// divmod returns v/d and v%d.
+func (q divisor) divmod(v int64) (quo, rem int64) {
+	if q.mask >= 0 && v >= 0 {
+		return v >> q.shift, v & q.mask
+	}
+	return v / q.d, v % q.d
 }
 
 // NewAddressCodec builds a codec for g.
@@ -54,8 +83,10 @@ func NewAddressCodec(g Geometry) (*AddressCodec, error) {
 	return &AddressCodec{
 		geom:        g,
 		segShift:    log2(g.SegmentBytes),
-		channels:    int64(g.Channels),
-		segsPerRkCh: g.SegmentsPerRank(),
+		channels:    newDivisor(int64(g.Channels)),
+		ranks:       newDivisor(int64(g.RanksPerChannel)),
+		segsPerRkCh: newDivisor(g.SegmentsPerRank()),
+		banks:       newDivisor(int64(g.BanksPerRank)),
 	}, nil
 }
 
@@ -87,20 +118,15 @@ func (c *AddressCodec) OffsetOf(a DPA) int64 { return int64(a) & (c.geom.Segment
 // DecodeDSN splits a DSN into its rank, channel and per-(rank,channel)
 // index.
 func (c *AddressCodec) DecodeDSN(s DSN) Loc {
-	v := int64(s)
-	ch := v % c.channels
-	block := v / c.channels
-	return Loc{
-		Channel: int(ch),
-		Index:   block % c.segsPerRkCh,
-		Rank:    int(block / c.segsPerRkCh),
-	}
+	block, ch := c.channels.divmod(int64(s))
+	rank, idx := c.segsPerRkCh.divmod(block)
+	return Loc{Channel: int(ch), Index: idx, Rank: int(rank)}
 }
 
 // EncodeDSN is the inverse of DecodeDSN.
 func (c *AddressCodec) EncodeDSN(l Loc) DSN {
-	block := int64(l.Rank)*c.segsPerRkCh + l.Index
-	return DSN(block*c.channels + int64(l.Channel))
+	block := int64(l.Rank)*c.segsPerRkCh.d + l.Index
+	return DSN(block*c.channels.d + int64(l.Channel))
 }
 
 // DSNToDPA returns the first device address of segment s.
@@ -117,19 +143,22 @@ func (c *AddressCodec) RankOf(a DPA) (channel, rank int) {
 	return l.Channel, l.Rank
 }
 
+// rowBlock is the bank-interleaving granularity: one 4 KiB row buffer.
+const rowBlock = 4 << 10
+
 // BankOf reports the bank within the rank servicing the device address.
 // Banks are interleaved across 4 KiB row-buffer-sized blocks inside a
 // segment, the conventional low-order bank hash.
 func (c *AddressCodec) BankOf(a DPA) int {
-	const rowBlock = 4 << 10
-	return int((int64(a) / rowBlock) % int64(c.geom.BanksPerRank))
+	_, bank := c.banks.divmod(int64(a) / rowBlock)
+	return int(bank)
 }
 
 // RowOf reports the DRAM row addressed within the bank (used for row-buffer
 // hit/miss decisions in the timing model).
 func (c *AddressCodec) RowOf(a DPA) int64 {
-	const rowBlock = 4 << 10
-	return int64(a) / rowBlock / int64(c.geom.BanksPerRank)
+	row, _ := c.banks.divmod(int64(a) / rowBlock)
+	return row
 }
 
 // GlobalRank flattens a (channel, rank) pair into a device-wide rank id.
@@ -148,12 +177,10 @@ func (c *AddressCodec) SplitGlobalRank(gr int) (channel, rank int) {
 // across every rank. This is the baseline mapping the paper's Figure 5
 // compares against (DTL itself never uses it).
 func (c *AddressCodec) RankInterleavedDSN(seq int64) DSN {
-	ranks := int64(c.geom.RanksPerChannel)
-	ch := seq % c.channels
-	rest := seq / c.channels
-	rank := rest % ranks
-	idx := rest / ranks
-	return c.EncodeDSN(Loc{Rank: int(rank), Channel: int(ch), Index: idx % c.segsPerRkCh})
+	rest, ch := c.channels.divmod(seq)
+	idx, rank := c.ranks.divmod(rest)
+	_, idx = c.segsPerRkCh.divmod(idx)
+	return c.EncodeDSN(Loc{Rank: int(rank), Channel: int(ch), Index: idx})
 }
 
 func log2(v int64) uint {

@@ -107,6 +107,12 @@ func (d *Device) State(id RankID) PowerState { return d.rank(id).state }
 // any in-flight power transition.
 func (d *Device) ReadyAt(id RankID) sim.Time { return d.rank(id).readyAt }
 
+// StateGlobal is State keyed by global rank id (controller hot path).
+func (d *Device) StateGlobal(gr int) PowerState { return d.ranks[gr].state }
+
+// ReadyAtGlobal is ReadyAt keyed by global rank id (controller hot path).
+func (d *Device) ReadyAtGlobal(gr int) sim.Time { return d.ranks[gr].readyAt }
+
 // Transitions reports how many power-state changes the rank has undergone.
 func (d *Device) Transitions(id RankID) int { return d.rank(id).transitions }
 

@@ -130,10 +130,12 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 func (c *Controller) Access(req Request) Result {
 	ch, rk := c.codec.RankOf(req.Addr)
 	id := dram.RankID{Channel: ch, Rank: rk}
+	// A dpa outside the device decodes to a global rank id outside
+	// [0, TotalRanks), and the per-rank reads below panic on it.
 	gr := c.codec.GlobalRank(ch, rk)
 
 	var wake sim.Time
-	switch c.dev.State(id) {
+	switch c.dev.StateGlobal(gr) {
 	case dram.MPSM:
 		panic(fmt.Sprintf("memctrl: access to MPSM rank %v at dpa %d", id, req.Addr))
 	case dram.SelfRefresh:
@@ -142,16 +144,16 @@ func (c *Controller) Access(req Request) Result {
 		c.wakeups++
 	}
 
-	rankReady := c.dev.ReadyAt(id)
+	rankReady := c.dev.ReadyAtGlobal(gr)
 	// The command-bus slot is claimed FR-FCFS style: a request stalled on
 	// its bank or rank does not block the channel for younger requests to
 	// other banks, so the bus reservation advances from the arrival point
 	// while the request's own start also waits for bank/rank readiness.
-	busSlot := maxT(req.Arrive, c.busFree[ch])
+	busSlot := max(req.Arrive, c.busFree[ch])
 
 	bank := c.codec.BankOf(req.Addr)
 	row := c.codec.RowOf(req.Addr)
-	start := maxT(busSlot, rankReady, c.bankFree[gr][bank])
+	start := max(busSlot, rankReady, c.bankFree[gr][bank])
 	if c.refreshEnabled {
 		start = c.afterRefresh(gr, start)
 	}
@@ -363,14 +365,4 @@ func (c *Controller) MigrationTime(ch int, bytes int64, now sim.Time) sim.Time {
 		bw = floor
 	}
 	return sim.Time(float64(bytes) / bw)
-}
-
-func maxT(ts ...sim.Time) sim.Time {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

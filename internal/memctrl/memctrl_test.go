@@ -91,6 +91,23 @@ func TestMPSMAccessPanics(t *testing.T) {
 	c.Access(Request{Addr: 0, Arrive: 100})
 }
 
+// TestOutOfRangeAccessPanics: an address past the device or below zero
+// decodes to no rank of the device and panics instead of touching another
+// rank's state.
+func TestOutOfRangeAccessPanics(t *testing.T) {
+	size := dram.Default1TB().TotalBytes()
+	for _, addr := range []dram.DPA{dram.DPA(size), dram.DPA(2 * size), -64, -dram.DPA(size)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("access at dpa %d did not panic", addr)
+				}
+			}()
+			newCtrl().Access(Request{Addr: addr, Arrive: 100})
+		}()
+	}
+}
+
 func TestWindowCounters(t *testing.T) {
 	c := newCtrl()
 	codec := c.Device().Codec()

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 )
 
 // Mixed interleaves several generators into one merged post-cache stream,
@@ -14,10 +14,15 @@ import (
 type Mixed struct {
 	gens   []*Generator
 	bases  []int64
-	rng    *rand.Rand
+	rng    rng
 	weight []float64
 	wsum   float64
+	bounds []float64 // bounds[i]: least x = u*wsum that pickSeq takes past component i
 	instr  int64
+	// The merged clock advances 1000/wsum instructions per access: step
+	// whole ones plus one more with probability stepFrac.
+	step     int64
+	stepFrac float64
 }
 
 // NewMixed builds a mixed stream. Component i addresses
@@ -26,7 +31,8 @@ func NewMixed(profiles []Profile, seed int64) (*Mixed, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("trace: mixed stream needs at least one profile")
 	}
-	m := &Mixed{rng: rand.New(rand.NewSource(seed))}
+	m := &Mixed{}
+	m.rng.seed(seed)
 	var base int64
 	for i, p := range profiles {
 		g, err := NewGenerator(p, seed+int64(i)*7919)
@@ -38,6 +44,26 @@ func NewMixed(profiles []Profile, seed int64) (*Mixed, error) {
 		base += p.FootprintBytes
 		m.weight = append(m.weight, p.MAPKI)
 		m.wsum += p.MAPKI
+	}
+	m.step = int64(1000.0 / m.wsum)
+	m.stepFrac = frac(1000.0 / m.wsum)
+	// pickSeq is non-decreasing in x, since each rounded subtraction is, so
+	// the x it takes past component i form an interval [bounds[i], +Inf).
+	// Binary search over the bit patterns of non-negative floats, which
+	// order like the floats, finds each bound exactly; pickSeq(+Inf) is the
+	// last component, so every search has an answer.
+	m.bounds = make([]float64, len(m.weight)-1)
+	for i := range m.bounds {
+		lo, hi := uint64(0), math.Float64bits(math.Inf(1))
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if m.pickSeq(math.Float64frombits(mid)) > i {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		m.bounds[i] = math.Float64frombits(lo)
 	}
 	return m, nil
 }
@@ -64,17 +90,32 @@ func (m *Mixed) Components() int { return len(m.gens) }
 // component's base; Instr is a merged virtual instruction clock advancing at
 // the aggregate rate.
 func (m *Mixed) Next() Access {
-	i := m.pick()
+	i := m.pick(m.rng.Float64() * m.wsum)
 	a := m.gens[i].Next()
 	a.Addr += m.bases[i]
 	// Aggregate instruction clock: accesses arrive at summed MAPKI.
-	m.instr += int64(1000.0/m.wsum) + boolToI64(m.rng.Float64() < frac(1000.0/m.wsum))
+	m.instr += m.step + boolToI64(m.rng.Float64() < m.stepFrac)
 	a.Instr = m.instr
 	return a
 }
 
-func (m *Mixed) pick() int {
-	x := m.rng.Float64() * m.wsum
+// pick chooses the component for x = u*wsum, u uniform, so components
+// come up in proportion to their MAPKI. It returns pickSeq(x) by counting
+// the bounds at or below x instead of subtracting weights until x turns
+// negative: the count has no data-dependent exit branch to mispredict.
+func (m *Mixed) pick(x float64) int {
+	i := 0
+	for _, b := range m.bounds {
+		if x >= b {
+			i++
+		}
+	}
+	return i
+}
+
+// pickSeq defines the component choice for x = u*wsum: subtract the weights
+// in order and stop at the first that drives x negative.
+func (m *Mixed) pickSeq(x float64) int {
 	for i, w := range m.weight {
 		x -= w
 		if x < 0 {

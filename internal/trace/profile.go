@@ -16,10 +16,7 @@
 //     experiments).
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Access is one generated memory access.
 type Access struct {
@@ -79,8 +76,8 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("trace: %s: hot bias %f out of [0,1]", p.Name, p.HotBias)
 	case p.RunLength < 1:
 		return fmt.Errorf("trace: %s: run length %f below 1", p.Name, p.RunLength)
-	case p.RunStride <= 0:
-		return fmt.Errorf("trace: %s: run stride %d must be positive", p.Name, p.RunStride)
+	case p.RunStride <= 0 || p.RunStride > SegmentBytes:
+		return fmt.Errorf("trace: %s: run stride %d out of (0,%d]", p.Name, p.RunStride, SegmentBytes)
 	case p.WriteFraction < 0 || p.WriteFraction > 1:
 		return fmt.Errorf("trace: %s: write fraction %f out of [0,1]", p.Name, p.WriteFraction)
 	case p.UntouchedFraction < 0 || p.UntouchedFraction >= 1:
@@ -146,7 +143,7 @@ func ProfileByName(name string) (Profile, error) {
 // Not safe for concurrent use.
 type Generator struct {
 	p   Profile
-	rng *rand.Rand
+	rng rng
 
 	segments    int64
 	hotSegments []int64 // shuffled segment ids designated hot
@@ -159,6 +156,7 @@ type Generator struct {
 	runAddr    int64
 	rawHotBuf  int64 // size of the always-hit buffer for NextRaw
 	driftCount int   // accesses since the last hot-set rotation
+	maxRun     int   // run length cap: runs never leave their segment
 
 	// rawRefsPerKI is the pre-cache memory reference density.
 	rawRefsPerKI float64
@@ -171,12 +169,13 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	}
 	g := &Generator{
 		p:            p,
-		rng:          rand.New(rand.NewSource(seed)),
 		segments:     p.FootprintBytes / SegmentBytes,
 		instrGap:     1000.0 / p.MAPKI,
 		rawRefsPerKI: 300,
 		rawHotBuf:    16 << 10,
+		maxRun:       min(4096, int(SegmentBytes/p.RunStride)),
 	}
+	g.rng.seed(seed)
 	nHot := int64(float64(g.segments) * p.HotFraction)
 	if nHot < 1 {
 		nHot = 1
@@ -255,7 +254,7 @@ func (g *Generator) startRun() {
 	// Geometric run length with the configured mean.
 	n := 1
 	pCont := 1 - 1/g.p.RunLength
-	for g.rng.Float64() < pCont && n < 4096 {
+	for g.rng.Float64() < pCont && n < g.maxRun {
 		n++
 	}
 	g.runLeft = n
@@ -267,13 +266,11 @@ func (g *Generator) startRun() {
 	g.runAddr &^= LineBytes - 1
 }
 
-// maybeDrift rotates part of the hot set when the drift period elapses:
-// the dropped members are replaced with random touchable segments, so the
-// previously-hot segments cool down and new ones heat up.
-func (g *Generator) maybeDrift() {
-	if g.p.DriftPeriod <= 0 {
-		return
-	}
+// drift counts one access of a drifting profile and rotates part of the
+// hot set when the drift period elapses: the dropped members are replaced
+// with random touchable segments, so the previously-hot segments cool down
+// and new ones heat up.
+func (g *Generator) drift() {
 	g.driftCount++
 	if g.driftCount < g.p.DriftPeriod {
 		return
@@ -288,7 +285,9 @@ func (g *Generator) maybeDrift() {
 
 // Next returns the next post-cache access.
 func (g *Generator) Next() Access {
-	g.maybeDrift()
+	if g.p.DriftPeriod > 0 {
+		g.drift()
+	}
 	if g.runLeft == 0 {
 		g.startRun()
 	}

@@ -98,3 +98,26 @@ func TestPropertyMixedClockMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropertyRunsStayInFootprint: a run never leaves its segment, so no
+// access leaves the footprint at any valid stride. Long runs at wide strides
+// once walked up to 22.9 MB past an 8 MiB footprint.
+func TestPropertyRunsStayInFootprint(t *testing.T) {
+	for _, stride := range []int64{LineBytes, 4 << 10, 64 << 10, 1 << 20, SegmentBytes} {
+		p, _ := ProfileByName("media-streaming")
+		p.FootprintBytes = 8 << 20
+		p.RunStride = stride
+		g := MustGenerator(p, 1)
+		for i := 0; i < 100_000; i++ {
+			var a Access
+			if i%2 == 0 {
+				a = g.Next()
+			} else {
+				a = g.NextRaw()
+			}
+			if a.Addr < 0 || a.Addr >= p.FootprintBytes {
+				t.Fatalf("stride %d: access %d at %d outside footprint %d", stride, i, a.Addr, p.FootprintBytes)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"dtl/internal/cache"
@@ -56,6 +57,7 @@ func TestProfileValidateRejects(t *testing.T) {
 		func(p *Profile) { p.HotBias = -0.1 },
 		func(p *Profile) { p.RunLength = 0.5 },
 		func(p *Profile) { p.RunStride = 0 },
+		func(p *Profile) { p.RunStride = SegmentBytes + LineBytes },
 		func(p *Profile) { p.WriteFraction = 2 },
 	}
 	for i, mut := range mutations {
@@ -258,6 +260,37 @@ func TestColdFractionEmptyStream(t *testing.T) {
 	for _, v := range dist {
 		if v != 0 {
 			t.Fatalf("empty stride distribution = %v", dist)
+		}
+	}
+}
+
+// TestMixedPickMatchesSequential: counting bounds picks the component the
+// sequential weight subtraction picks, at random points, at every bound and
+// one ulp on either side of it, for the replay mixes and random weights.
+func TestMixedPickMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var mixes []*Mixed
+	mixes = append(mixes, ctrlReplayMix(1), MustMixed(CloudSuite()[:6], 3), MustMixed(CloudSuite()[:1], 1))
+	for k := 0; k < 20; k++ {
+		ps := CloudSuite()[:2+rng.Intn(8)]
+		for i := range ps {
+			ps[i].FootprintBytes = 64 << 20
+			ps[i].MAPKI = rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+		}
+		mixes = append(mixes, MustMixed(ps, int64(k)))
+	}
+	for mi, m := range mixes {
+		xs := []float64{0, m.wsum, math.Nextafter(m.wsum, 0), math.Inf(1)}
+		for _, b := range m.bounds {
+			xs = append(xs, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
+		}
+		for i := 0; i < 10000; i++ {
+			xs = append(xs, rng.Float64()*m.wsum)
+		}
+		for _, x := range xs {
+			if got, want := m.pick(x), m.pickSeq(x); got != want {
+				t.Fatalf("mix %d (weights %v): pick(%v) = %d, want %d", mi, m.weight, x, got, want)
+			}
 		}
 	}
 }
